@@ -104,9 +104,7 @@ func All() []Experiment {
 		{"E8", "Non-blocking vs always-terminating under a write storm", RunE8},
 		{"E9", "§5 bounded counters: MAXINT wraparound and global reset", RunE9},
 		{"E10", "Crash tolerance and linearizability under adversary", RunE10},
-		{"hotpath", "Hot-path allocation profile: write/snapshot ns, B and allocs per op", RunHotpath},
 		{"deltagossip", "Delta gossip: idle bandwidth of full-vector vs ack-tracked gossip", RunDeltaGossip},
-		{"dispatch", "Sharded dispatch: mixed-workload throughput and tail latency", RunDispatch},
 		{"multiobject", "Multi-object hosting: aggregate throughput scaling and hot-object isolation", RunMultiObject},
 	}
 }

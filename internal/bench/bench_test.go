@@ -37,14 +37,14 @@ func cellFloat(t *testing.T, row []string, col int) float64 {
 
 func TestCatalogue(t *testing.T) {
 	all := All()
-	if len(all) != 14 { // E1–E10, hotpath allocation profile, deltagossip, dispatch, multiobject
-		t.Fatalf("catalogue has %d experiments, want 14", len(all))
+	if len(all) != 12 { // E1–E10, deltagossip, multiobject
+		t.Fatalf("catalogue has %d experiments, want 12", len(all))
 	}
 	if _, ok := Lookup("e3"); !ok {
 		t.Error("case-insensitive lookup broken")
 	}
-	if _, ok := Lookup("HOTPATH"); !ok {
-		t.Error("case-insensitive lookup of hotpath broken")
+	if _, ok := Lookup("MULTIOBJECT"); !ok {
+		t.Error("case-insensitive lookup of multiobject broken")
 	}
 	if _, ok := Lookup("E99"); ok {
 		t.Error("bogus id found")

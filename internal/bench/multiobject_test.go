@@ -8,17 +8,36 @@ import (
 	"testing"
 )
 
-// TestMultiObjectScalingFloor is the cheap always-on acceptance check for
-// the multi-object tentpole's throughput half: at a 64-object mix the
-// aggregate message rate with 8 shards must be at least 3× the classic
-// single dispatcher's. Virtual-clock determinism makes the ratio exact per
-// build, not load-dependent.
+// TestDispatchSpeedupFloor is the cheap always-on acceptance check for
+// sharded dispatch of a single object: at 4 shards the mixed workload must
+// move at least 3× the messages per virtual second of the classic single
+// dispatcher, and the p99.9 sojourn time must drop. Virtual-clock
+// determinism makes both assertions stable, not load-dependent.
+func TestDispatchSpeedupFloor(t *testing.T) {
+	checkScalingFloor(t, 1, 4)
+}
+
+// TestMultiObjectScalingFloor is the same acceptance check at a 64-object
+// mix: with 8 shards the aggregate message rate must be at least 3× the
+// single dispatcher's, and the p99.9 sojourn time must drop.
 func TestMultiObjectScalingFloor(t *testing.T) {
-	base := runMultiObject(moSenders, 64, 100, 1)
-	sharded := runMultiObject(moSenders, 64, 100, 8)
+	checkScalingFloor(t, 64, 8)
+}
+
+// checkScalingFloor runs the mixed workload over objects objects with one
+// shard and with shards shards, and asserts a ≥ 3× throughput gain and a
+// lower p99.9 sojourn time for the sharded run.
+func checkScalingFloor(t *testing.T, objects, shards int) {
+	t.Helper()
+	base := runMultiObject(moSenders, objects, 100, 1)
+	sharded := runMultiObject(moSenders, objects, 100, shards)
 	if base.msgPerS <= 0 || sharded.msgPerS/base.msgPerS < 3 {
-		t.Fatalf("speedup = %.2fx (%.0f vs %.0f msg/s), want ≥ 3x",
-			sharded.msgPerS/base.msgPerS, sharded.msgPerS, base.msgPerS)
+		t.Errorf("objects=%d: speedup at %d shards = %.2fx (%.0f vs %.0f msg/s), want ≥ 3x",
+			objects, shards, sharded.msgPerS/base.msgPerS, sharded.msgPerS, base.msgPerS)
+	}
+	if sharded.p999 >= base.p999 {
+		t.Errorf("objects=%d: p99.9 did not improve: %v (shards=%d) vs %v (shards=1)",
+			objects, sharded.p999, shards, base.p999)
 	}
 }
 
@@ -44,9 +63,9 @@ func TestMultiObjectIsolationFloor(t *testing.T) {
 // TestMultiObjectRegressionGuard replays the full multi-object grid and
 // compares every throughput, tail-latency and isolation cell against the
 // committed baseline (BENCH_multiobject.json at the repo root), failing on
-// >10% regression. Gated behind MULTIOBJECT_GUARD=1 like the dispatch and
-// deltagossip guards; improvements pass, and the baseline is regenerated
-// with `go run ./cmd/benchrunner -exp multiobject -json` to ratchet.
+// >10% regression. Gated behind MULTIOBJECT_GUARD=1 like the deltagossip
+// guard; improvements pass, and the baseline is regenerated with
+// `go run ./cmd/benchrunner -exp multiobject -json` to ratchet.
 func TestMultiObjectRegressionGuard(t *testing.T) {
 	if os.Getenv("MULTIOBJECT_GUARD") == "" {
 		t.Skip("set MULTIOBJECT_GUARD=1 to compare against the committed baseline")
@@ -88,12 +107,12 @@ func TestMultiObjectRegressionGuard(t *testing.T) {
 		// Column 5 is msg/s (higher is better), column 6 is p99.9 in ms
 		// (lower is better).
 		if g, w := cell(got, 5), cell(want, 5); g < w*0.90 {
-			t.Errorf("shards=%s: aggregate throughput regressed to %.1f msg/s, baseline %.1f (-%.1f%%)",
-				got[0], g, w, 100*(1-g/w))
+			t.Errorf("shards=%s objects=%s: aggregate throughput regressed to %.1f msg/s, baseline %.1f (-%.1f%%)",
+				got[0], got[1], g, w, 100*(1-g/w))
 		}
 		if g, w := cell(got, 6), cell(want, 6); g > w*1.10 {
-			t.Errorf("shards=%s: p99.9 regressed to %.2fms, baseline %.2fms (+%.1f%%)",
-				got[0], g, w, 100*(g/w-1))
+			t.Errorf("shards=%s objects=%s: p99.9 regressed to %.2fms, baseline %.2fms (+%.1f%%)",
+				got[0], got[1], g, w, 100*(g/w-1))
 		}
 	}
 

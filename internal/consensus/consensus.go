@@ -128,9 +128,6 @@ func (m *Machine) Rejects() uint64 { return m.rejects }
 // Decided returns the agreed value once the instance has decided.
 func (m *Machine) Decided() (types.RegVector, bool) { return m.decision, m.decided }
 
-// Proposing reports whether this node has a candidate value in play.
-func (m *Machine) Proposing() bool { return m.proposal != nil }
-
 func (m *Machine) majority() int { return m.n/2 + 1 }
 
 // nextBallot returns the smallest ballot above everything observed that

@@ -377,37 +377,6 @@ func (n *Network) drawFor(from, to, size int) (copies int, delays [2]time.Durati
 	return copies, delays
 }
 
-// SetLinkProfile installs (or replaces) the profile of the directed link
-// from→to, growing the matrix to N×N if it doesn't cover the link yet —
-// uncovered links keep falling back to the global Adversary until touched.
-// Updates are copy-on-write: in-flight draws keep the topology they loaded.
-func (n *Network) SetLinkProfile(from, to int, p LinkProfile) {
-	if from < 0 || from >= n.cfg.N || to < 0 || to >= n.cfg.N {
-		return
-	}
-	n.topoMu.Lock()
-	defer n.topoMu.Unlock()
-	cur := n.topo.Load()
-	next := &topology{}
-	if cur != nil {
-		next.slow = cur.slow
-		next.links = cur.links
-	}
-	grown := NewLinkMatrix(n.cfg.N)
-	for i := range grown {
-		for j := range grown[i] {
-			if q, ok := next.links.At(i, j); ok {
-				grown[i][j] = q
-			} else {
-				grown[i][j] = LinkProfile{Adversary: n.cfg.Adversary}
-			}
-		}
-	}
-	grown[from][to] = p.normalized()
-	next.links = grown
-	n.topo.Store(next)
-}
-
 // SetNodeSlowdown inflates every delay on node id's links (both directions)
 // by factor — the slow-but-alive nemesis: the node keeps taking steps and
 // is never counted as crashed, but all its traffic crawls. factor ≤ 1

@@ -27,9 +27,9 @@ func (a *dispatchCountAlg) Route(m *wire.Message) (node.Lane, int) {
 }
 
 // BenchmarkDispatch is the real-clock companion to the virtual-clock
-// "dispatch" experiment (internal/bench): four senders flood one receiver
+// "multiobject" experiment (internal/bench): four senders flood one receiver
 // end-to-end through netsim, and ns/op is the per-message dispatch cost —
-// receive, route, shard-queue hop, handler. It exposes the router+queue
+// receive, route, shard-queue hop, handler. It exposes the routing+queue
 // overhead sharding adds per message; the throughput-scaling claim itself
 // is made by the virtual-clock experiment, whose modeled handler cost is
 // independent of the benchmark host's core count. Flow control caps

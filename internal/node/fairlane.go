@@ -25,7 +25,7 @@ import (
 // lock-step scheduler task. Rings grow lazily (a cold object that never
 // sees traffic costs three words), doubling up to the per-object capacity;
 // overflow evicts that object's oldest message and reports it so the
-// router can meter the loss, exactly like the transport inbox.
+// receive loop can meter the loss, exactly like the transport inbox.
 type fairLane struct {
 	clk    simclock.Clock
 	avail  simclock.Signal

@@ -45,8 +45,8 @@ func multiObjectHost(t *testing.T, net netsim.Transport, id, objects int, opts O
 // TestDispatchBoundsGuardsObjectIds is the table-driven guard test for
 // corrupted object ids: a message whose Obj falls outside the receiver's
 // object table must be dropped and metered as InvalidObjs — mirroring the
-// InvalidTypes discipline for unknown message types — on both the classic
-// single dispatcher and the sharded router. In-range ids must reach
+// InvalidTypes discipline for unknown message types — on both the inline
+// and the sharded receive path. In-range ids must reach
 // exactly their object's handler. (Negative ids can only occur in-memory:
 // the wire codec already rejects them at decode with ErrBadObj.)
 func TestDispatchBoundsGuardsObjectIds(t *testing.T) {

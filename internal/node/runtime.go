@@ -13,23 +13,25 @@
 //   - crash, resume (undetectable restart) and detectable-restart
 //     lifecycle transitions used by the failure experiments.
 //
-// Threading model: one dispatcher goroutine per node delivers messages, one
-// loop goroutine drives ticks, and client operations run on their callers'
-// goroutines. Algorithms guard their state with their own mutex; the runtime
-// never holds it. Ack acceptance predicates run on the dispatcher goroutine
-// and must only touch data captured immutably at call time.
+// Threading model: one receive-loop goroutine per node delivers messages,
+// one loop goroutine drives ticks, and client operations run on their
+// callers' goroutines. Algorithms guard their state with their own mutex;
+// the runtime never holds it. Ack acceptance predicates run on the
+// dispatching goroutine and must only touch data captured immutably at
+// call time.
 //
-// With Options.DispatchShards > 1 the single dispatcher is replaced by a
-// router plus a pool of shard workers and a dedicated quorum-ack lane (see
-// shard.go): HandleMessage then runs concurrently for messages on different
-// shards, but stays FIFO per shard key — which the algorithms choose so each
-// register's updates stay ordered (§2 only requires that steps admit a
-// serialization, which the history checker verifies).
+// With Options.DispatchShards > 1 the receive loop stops handling messages
+// itself and routes them to a pool of shard workers and a dedicated
+// quorum-ack lane (see shard.go): HandleMessage then runs concurrently for
+// messages on different shards, but stays FIFO per shard key — which the
+// algorithms choose so each register's updates stay ordered (§2 only
+// requires that steps admit a serialization, which the history checker
+// verifies).
 //
 // A Runtime can host many independent algorithm instances — one snapshot
-// object each — multiplexed over the one transport, dispatcher and
+// object each — multiplexed over the one transport, receive loop and
 // quorum-ack lane (see objview.go): messages carry a wire-level object id,
-// the dispatcher indexes the object table with it (bounds-guarded: a
+// the receive loop indexes the object table with it (bounds-guarded: a
 // corrupted id is metered and dropped, never indexed), and sharded
 // dispatch keys shards by (object, sender) so per-register FIFO holds per
 // object while independent objects ride different shard workers in
@@ -84,17 +86,13 @@ type Options struct {
 	// detectable restarts) for the /statusz observability endpoint.
 	Journal *obs.Journal
 	// DispatchShards is the number of parallel dispatch workers. The
-	// default (and any value ≤ 1) keeps the classic single-dispatcher
-	// path: one goroutine, globally FIFO. Values > 1 enable sharded
-	// dispatch: a router fans arriving messages out to DispatchShards
-	// workers by the algorithm's shard key (per-key FIFO preserved) plus
-	// a dedicated quorum-ack lane. Capped at MaxDispatchShards.
+	// default (and any value ≤ 1) handles every message inline on the
+	// receive loop: one goroutine, globally FIFO. Values > 1 enable
+	// sharded dispatch: the receive loop fans arriving messages out to
+	// DispatchShards workers by the algorithm's shard key (per-key FIFO
+	// preserved) plus a dedicated quorum-ack lane. Capped at
+	// MaxDispatchShards.
 	DispatchShards int
-	// ShardQueueCap bounds each shard lane's per-object queue under
-	// sharded dispatch (default 4096). Overflow drops the oldest queued
-	// message — the same bounded-channel semantics as the transport inbox
-	// — and is metered as an eviction.
-	ShardQueueCap int
 	// Attach, when non-nil, makes Bind join this existing host runtime as
 	// its next object instead of constructing a fresh single-object
 	// runtime; the host's tuning fields govern and the rest of this
@@ -103,12 +101,18 @@ type Options struct {
 	Attach *Runtime
 }
 
-// MaxDispatchShards bounds Options.DispatchShards; beyond this the router
-// itself becomes the bottleneck.
+// MaxDispatchShards bounds Options.DispatchShards; beyond this the receive
+// loop itself becomes the bottleneck.
 const MaxDispatchShards = 64
 
+// shardQueueCap bounds each shard lane's per-object queue and the ack
+// lane under sharded dispatch. Overflow drops the oldest queued message —
+// the same bounded-channel semantics as the transport inbox — and is
+// metered as an eviction.
+const shardQueueCap = 4096
+
 // MaxObjects bounds how many algorithm instances one Runtime may host. It
-// also bounds the object-id range the dispatcher will accept off the wire,
+// also bounds the object-id range the receive loop will accept off the wire,
 // and keeps the per-shard per-object ring bookkeeping finite.
 const MaxObjects = 4096
 
@@ -125,9 +129,6 @@ func (o Options) withDefaults() Options {
 	if o.DispatchShards > MaxDispatchShards {
 		o.DispatchShards = MaxDispatchShards
 	}
-	if o.ShardQueueCap <= 0 {
-		o.ShardQueueCap = 4096
-	}
 	o.Clock = simclock.Or(o.Clock)
 	return o
 }
@@ -141,7 +142,7 @@ type Runtime struct {
 
 	// objs is the object table: one hosted algorithm instance (plus its
 	// resolved optional Router) per object id. Built by AddObject before
-	// Start, immutable afterwards — the dispatcher goroutines read it
+	// Start, immutable afterwards — the dispatching goroutines read it
 	// without synchronisation.
 	objs    []objSlot
 	started atomic.Bool
@@ -302,11 +303,11 @@ func (r *Runtime) RecordEvent(kind, detail string) {
 	r.opts.Journal.Record(r.clk.Now(), r.id, kind, detail)
 }
 
-// Start launches the dispatcher and do-forever goroutines. With
-// DispatchShards > 1 the dispatcher is a router plus a worker per shard and
-// a dedicated quorum-ack lane (see shard.go). Start is idempotent: a
-// multi-object runtime is started through whichever hosted algorithm's
-// Start runs first, and the rest are no-ops.
+// Start launches the receive loop and the do-forever loop. With
+// DispatchShards > 1 it also launches a worker per shard and a dedicated
+// quorum-ack lane, which the receive loop routes into (see shard.go).
+// Start is idempotent: a multi-object runtime is started through whichever
+// hosted algorithm's Start runs first, and the rest are no-ops.
 func (r *Runtime) Start() {
 	if r.started.Swap(true) {
 		return
@@ -314,27 +315,26 @@ func (r *Runtime) Start() {
 	if len(r.objs) == 0 {
 		panic("node: Start with no objects attached")
 	}
-	if r.opts.DispatchShards <= 1 {
-		r.wg.Add(2)
-		r.clk.Go(fmt.Sprintf("node%d-dispatch", r.id), r.dispatch)
-		r.clk.Go(fmt.Sprintf("node%d-loop", r.id), r.loop)
-		return
+	if r.opts.DispatchShards > 1 {
+		// Shard lanes are built here rather than at construction: each
+		// lane holds one bounded ring per object, and the object count is
+		// only final at Start.
+		r.shardQ = make([]*fairLane, r.opts.DispatchShards)
+		for i := range r.shardQ {
+			r.shardQ[i] = newFairLane(r.clk, len(r.objs), shardQueueCap)
+		}
+		r.ackQ = mailbox.NewClocked[*wire.Message](r.clk, shardQueueCap)
+		r.wg.Add(1 + len(r.shardQ))
 	}
-	// Shard lanes are built here rather than at construction: each lane
-	// holds one bounded ring per object, and the object count is only
-	// final at Start.
-	r.shardQ = make([]*fairLane, r.opts.DispatchShards)
-	for i := range r.shardQ {
-		r.shardQ[i] = newFairLane(r.clk, len(r.objs), r.opts.ShardQueueCap)
-	}
-	r.ackQ = mailbox.NewClocked[*wire.Message](r.clk, r.opts.ShardQueueCap)
-	r.wg.Add(3 + len(r.shardQ))
-	r.clk.Go(fmt.Sprintf("node%d-route", r.id), r.routeLoop)
+	r.wg.Add(2)
+	r.clk.Go(fmt.Sprintf("node%d-recv", r.id), r.recvLoop)
 	for i := range r.shardQ {
 		q := r.shardQ[i]
 		r.clk.Go(fmt.Sprintf("node%d-shard%d", r.id, i), func() { r.shardLoop(q) })
 	}
-	r.clk.Go(fmt.Sprintf("node%d-acks", r.id), r.ackLoop)
+	if r.ackQ != nil {
+		r.clk.Go(fmt.Sprintf("node%d-acks", r.id), r.ackLoop)
+	}
 	r.clk.Go(fmt.Sprintf("node%d-loop", r.id), r.loop)
 }
 
@@ -353,30 +353,49 @@ func (r *Runtime) Close() {
 		r.crashEv.Fire()
 	}
 	r.mu.Unlock()
-	r.tr.CloseEndpoint(r.id) // unblock the dispatcher's (or router's) Recv
+	r.tr.CloseEndpoint(r.id) // unblock the receive loop's Recv
 	r.wg.Wait()
 }
 
-func (r *Runtime) dispatch() {
+// recvLoop is the node's one receive loop. It owns the transport endpoint
+// and runs the checks every arriving message needs exactly once: close,
+// crash-drop and the object-id bounds check. With one dispatch shard it
+// then handles the message inline, so the default topology is two
+// goroutines per node (this loop and the do-forever loop), globally FIFO.
+// With more shards it only classifies, routing each message to a shard
+// lane or the ack lane (see shard.go).
+func (r *Runtime) recvLoop() {
 	defer r.wg.Done()
+	if r.shardQ != nil {
+		// Closing the lanes lets the workers drain what was already
+		// routed and then exit; wg waits for them.
+		defer r.closeLanes()
+	}
 	for {
 		m, ok := r.tr.Recv(r.id)
-		if !ok {
+		if !ok || r.closeEv.Fired() {
 			return
 		}
-		if r.closeEv.Fired() {
-			return
-		}
-		if r.Crashed() {
+		if r.crashed.Load() {
 			continue // a crashed node takes no steps; arriving messages are lost
 		}
 		slot := r.slot(m)
 		if slot == nil {
 			continue // corrupted object id: metered, dropped
 		}
-		slot.alg.HandleMessage(m)
-		r.offer(m)
+		if r.shardQ == nil {
+			r.handle(slot.alg, m)
+		} else {
+			r.route(slot, m)
+		}
 	}
+}
+
+// handle is the per-message step of the inline path and of every shard
+// worker: the algorithm's HandleMessage, then quorum-call matching.
+func (r *Runtime) handle(alg Algorithm, m *wire.Message) {
+	alg.HandleMessage(m)
+	r.offer(m)
 }
 
 func (r *Runtime) loop() {

@@ -6,8 +6,8 @@ import (
 
 // Sharded dispatch (Options.DispatchShards > 1).
 //
-// The classic runtime delivers every arriving message through one
-// dispatcher goroutine, which serialises HandleMessage globally per node.
+// With one shard the receive loop handles every arriving message inline,
+// which serialises HandleMessage globally per node.
 // The paper's §2 model is weaker than that: a node's steps only have to
 // *admit a serialization* (the history checker verifies one exists), and
 // the network itself may reorder, lose and duplicate messages. The only
@@ -28,10 +28,10 @@ import (
 //
 // Topology with S shards:
 //
-//	transport Recv ─ router ─┬─ shard 0 queue ─ worker: HandleMessage + offer
-//	                         ├─ …
-//	                         ├─ shard S-1 queue ─ worker
-//	                         └─ ack queue ─ ack worker: offerBatch
+//	transport Recv ─ receive loop ─┬─ shard 0 queue ─ worker: HandleMessage + offer
+//	                               ├─ …
+//	                               ├─ shard S-1 queue ─ worker
+//	                               └─ ack queue ─ ack worker: offerBatch
 //
 // Every queue is a bounded drop-oldest lane parked through the runtime's
 // clock, so under a virtual clock the workers are deterministic scheduler
@@ -67,7 +67,7 @@ const (
 // mutually ordered (in this repository: two messages from the same
 // writer, hence about the same register) must map to the same key. The
 // key is reduced modulo the shard count; its absolute value carries no
-// meaning. Route runs on the router goroutine and must not take the
+// meaning. Route runs on the receive loop and must not take the
 // algorithm's state lock.
 //
 // Algorithms that do not implement Router dispatch everything on
@@ -92,57 +92,38 @@ func shardIndex(obj int32, key, nshards int) int {
 	return int(h % uint64(nshards))
 }
 
-// routeLoop is the sharded replacement for dispatch's Recv loop: it owns
-// the transport endpoint and only classifies, never handles. Queue
-// overflow here models the same bounded-channel loss as the transport
-// inbox and is metered as an eviction.
-func (r *Runtime) routeLoop() {
-	defer r.wg.Done()
-	// Closing the lanes lets the workers drain what was already routed
-	// and then exit; wg waits for them.
-	defer func() {
-		for _, q := range r.shardQ {
-			q.Close()
-		}
-		r.ackQ.Close()
-	}()
-	nshards := len(r.shardQ)
-	ctr := r.ctr
-	for {
-		m, ok := r.tr.Recv(r.id)
-		if !ok {
-			return
-		}
-		if r.closeEv.Fired() {
-			return
-		}
-		if r.crashed.Load() {
-			continue // a crashed node takes no steps; arriving messages are lost
-		}
-		slot := r.slot(m)
-		if slot == nil {
-			continue // corrupted object id: metered, dropped
-		}
-		lane, key := LaneShard, int(m.From)
-		if slot.router != nil {
-			lane, key = slot.router.Route(m)
-		}
-		if lane == LaneAck {
-			if r.ackQ.Push(m) {
-				ctr.RecordEviction()
-			}
-			continue
-		}
-		if r.shardQ[shardIndex(m.Obj, key, nshards)].Push(int(m.Obj), m) {
-			ctr.RecordEviction()
-		}
+// route pushes m onto its lane: the ack lane, or the shard lane selected
+// by the object and the algorithm's route key. Lane overflow models the
+// same bounded-channel loss as the transport inbox and is metered as an
+// eviction.
+func (r *Runtime) route(slot *objSlot, m *wire.Message) {
+	lane, key := LaneShard, int(m.From)
+	if slot.router != nil {
+		lane, key = slot.router.Route(m)
+	}
+	var evicted bool
+	if lane == LaneAck {
+		evicted = r.ackQ.Push(m)
+	} else {
+		evicted = r.shardQ[shardIndex(m.Obj, key, len(r.shardQ))].Push(int(m.Obj), m)
+	}
+	if evicted {
+		r.ctr.RecordEviction()
 	}
 }
 
+// closeLanes closes every shard lane and the ack lane.
+func (r *Runtime) closeLanes() {
+	for _, q := range r.shardQ {
+		q.Close()
+	}
+	r.ackQ.Close()
+}
+
 // shardLoop handles one shard's stream: strict FIFO per (object, sender),
-// fair round-robin across objects, same per-message discipline as the
-// classic dispatcher. The router already bounds-checked the object id, so
-// the table index here cannot be out of range.
+// fair round-robin across objects, same per-message step as the inline
+// path. The receive loop already bounds-checked the object id, so the
+// table index here cannot be out of range.
 func (r *Runtime) shardLoop(q *fairLane) {
 	defer r.wg.Done()
 	for {
@@ -156,8 +137,7 @@ func (r *Runtime) shardLoop(q *fairLane) {
 		if r.crashed.Load() {
 			continue
 		}
-		r.objs[m.Obj].alg.HandleMessage(m)
-		r.offer(m)
+		r.handle(r.objs[m.Obj].alg, m)
 	}
 }
 

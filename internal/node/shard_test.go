@@ -77,8 +77,8 @@ func newShardCluster(t *testing.T, n, shards int) ([]*shardAlg, []*Runtime) {
 
 func TestShardedOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.DispatchShards != 1 || o.ShardQueueCap != 4096 {
-		t.Errorf("defaults = shards %d, cap %d; want 1, 4096", o.DispatchShards, o.ShardQueueCap)
+	if o.DispatchShards != 1 || shardQueueCap != 4096 {
+		t.Errorf("defaults = shards %d, cap %d; want 1, 4096", o.DispatchShards, shardQueueCap)
 	}
 	o = Options{DispatchShards: 1 << 20}.withDefaults()
 	if o.DispatchShards != MaxDispatchShards {

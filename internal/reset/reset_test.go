@@ -354,20 +354,25 @@ func TestHostileIdsRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyTwoPhaseTypesRejected: the coordinator protocol is gone; its
-// wire types remain reserved and any arrival is counted hostile.
-func TestLegacyTwoPhaseTypesRejected(t *testing.T) {
+// TestMisroutedTypesRejected: data-plane traffic that reaches the reset
+// engine is misrouted; every arrival is counted hostile and leaves the
+// engine idle.
+func TestMisroutedTypesRejected(t *testing.T) {
 	const n = 3
 	e := NewEngine(0, n)
 	reg := make(types.RegVector, n)
-	for _, typ := range []wire.Type{wire.TResetProp, wire.TResetAck, wire.TResetCmt, wire.TResetDone} {
+	misrouted := []wire.Type{wire.TWrite, wire.TGossip, wire.TSnapshotAck}
+	for _, typ := range misrouted {
 		res := e.OnMessage(&wire.Message{Type: typ, From: 1, Epoch: 0}, reg, false)
 		if !res.Rejected {
-			t.Fatalf("legacy type %v accepted", typ)
+			t.Fatalf("misrouted type %v accepted", typ)
 		}
 	}
+	if e.Rejects() != uint64(len(misrouted)) {
+		t.Fatalf("rejects=%d, want %d", e.Rejects(), len(misrouted))
+	}
 	if e.Debug().Phase != uint8(phaseIdle) {
-		t.Fatal("legacy traffic changed phase")
+		t.Fatal("misrouted traffic changed phase")
 	}
 }
 
@@ -472,14 +477,14 @@ func TestRestartClearsEngine(t *testing.T) {
 
 func TestIsResetType(t *testing.T) {
 	for _, typ := range []wire.Type{
-		wire.TMaxIdx, wire.TResetProp, wire.TResetAck, wire.TResetCmt, wire.TResetDone,
+		wire.TMaxIdx,
 		wire.TCnsPrep, wire.TCnsProm, wire.TCnsAcc, wire.TCnsAccAck, wire.TCnsDecide,
 	} {
 		if !IsResetType(typ) {
 			t.Errorf("%v must be a reset type", typ)
 		}
 	}
-	for _, typ := range []wire.Type{wire.TWrite, wire.TGossip, wire.TSnapshot, wire.TRegQuery} {
+	for _, typ := range []wire.Type{wire.TWrite, wire.TGossip, wire.TSnapshot, wire.TCollect} {
 		if IsResetType(typ) {
 			t.Errorf("%v must not be a reset type", typ)
 		}

@@ -20,7 +20,6 @@ func (*realClock) Now() time.Time                  { return time.Now() }
 func (*realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 func (*realClock) Sleep(d time.Duration)           { time.Sleep(d) }
 func (*realClock) Go(name string, f func())        { go f() }
-func (*realClock) IsVirtual() bool                 { return false }
 func (c *realClock) NewGroup() *Group              { return NewGroup(c) }
 
 // realWaitable is the common wake channel all real waitables share in shape.

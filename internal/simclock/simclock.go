@@ -122,8 +122,6 @@ type Clock interface {
 	Wait(ws ...Waitable) int
 	// NewGroup returns a Group (a clock-aware sync.WaitGroup).
 	NewGroup() *Group
-	// IsVirtual reports whether this is a virtual (simulated) clock.
-	IsVirtual() bool
 }
 
 // Or returns c, or the real clock when c is nil — the idiom for Config

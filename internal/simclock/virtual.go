@@ -245,8 +245,6 @@ func (v *Virtual) Now() time.Time {
 
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-func (v *Virtual) IsVirtual() bool { return true }
-
 func (v *Virtual) NewGroup() *Group { return NewGroup(v) }
 
 // Sleep parks the task until now+d. d <= 0 yields: the task goes to the

@@ -16,6 +16,11 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	// Frames carrying a retired (reserved) type number: decode must refuse
+	// them, and mutations of them explore the envelope around the type byte.
+	for n := 20; n <= 27; n++ {
+		f.Add(Marshal(&Message{Type: Type(n), From: 1, Epoch: 3}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {

@@ -47,17 +47,20 @@ const (
 	TWriteBackAck
 
 	// Bounded-counter variation (§5): wraparound control plane.
-	TMaxIdx    // MAXIDX(maxima, epoch): gossip of maximal indices
-	TResetProp // RESET-PROPOSE(epoch, frozen maxima)
-	TResetAck  // RESET-ACK(epoch)
-	TResetCmt  // RESET-COMMIT(epoch)
-	TResetDone // RESET-DONE(epoch)
+	TMaxIdx // MAXIDX(maxima, epoch): gossip of maximal indices
 
-	// Standalone ABD register emulation (single-register reads).
-	TRegQuery        // REG-QUERY(k, tag): read register k from a majority
-	TRegQueryAck     // REG-QUERYack(k, entry, tag)
-	TRegWriteBack    // REG-WRITEBACK(k, entry, tag): install before returning
-	TRegWriteBackAck // REG-WRITEBACKack(tag)
+	// Retired numbers, reserved so that no later type reuses them: 20–23
+	// carried the coordinator-based two-phase reset that consensus
+	// replaced, 24–27 a standalone single-register read protocol. Valid
+	// rejects them, so the codec refuses them at decode.
+	_
+	_
+	_
+	_
+	_
+	_
+	_
+	_
 
 	// Self-stabilizing multivalued consensus (Lundström–Raynal–Schiller
 	// 2021), one instance per reset epoch. Ballots ride in TS, accepted
@@ -73,39 +76,31 @@ const (
 )
 
 var typeNames = [...]string{
-	TInvalid:         "INVALID",
-	TWrite:           "WRITE",
-	TWriteAck:        "WRITEack",
-	TSnapshot:        "SNAPSHOT",
-	TSnapshotAck:     "SNAPSHOTack",
-	TGossip:          "GOSSIP",
-	TGossipAck:       "GOSSIPack",
-	TSnap:            "SNAP",
-	TEnd:             "END",
-	TSave:            "SAVE",
-	TSaveAck:         "SAVEack",
-	TRBCast:          "RBCAST",
-	TRBAck:           "RBACK",
-	TCollect:         "COLLECT",
-	TCollectAck:      "COLLECTack",
-	TUpdate:          "UPDATE",
-	TUpdateAck:       "UPDATEack",
-	TWriteBack:       "WRITEBACK",
-	TWriteBackAck:    "WRITEBACKack",
-	TMaxIdx:          "MAXIDX",
-	TResetProp:       "RESET-PROPOSE",
-	TResetAck:        "RESET-ACK",
-	TResetCmt:        "RESET-COMMIT",
-	TResetDone:       "RESET-DONE",
-	TRegQuery:        "REG-QUERY",
-	TRegQueryAck:     "REG-QUERYack",
-	TRegWriteBack:    "REG-WRITEBACK",
-	TRegWriteBackAck: "REG-WRITEBACKack",
-	TCnsPrep:         "CNS-PREPARE",
-	TCnsProm:         "CNS-PROMISE",
-	TCnsAcc:          "CNS-ACCEPT",
-	TCnsAccAck:       "CNS-ACCEPTack",
-	TCnsDecide:       "CNS-DECIDE",
+	TInvalid:      "INVALID",
+	TWrite:        "WRITE",
+	TWriteAck:     "WRITEack",
+	TSnapshot:     "SNAPSHOT",
+	TSnapshotAck:  "SNAPSHOTack",
+	TGossip:       "GOSSIP",
+	TGossipAck:    "GOSSIPack",
+	TSnap:         "SNAP",
+	TEnd:          "END",
+	TSave:         "SAVE",
+	TSaveAck:      "SAVEack",
+	TRBCast:       "RBCAST",
+	TRBAck:        "RBACK",
+	TCollect:      "COLLECT",
+	TCollectAck:   "COLLECTack",
+	TUpdate:       "UPDATE",
+	TUpdateAck:    "UPDATEack",
+	TWriteBack:    "WRITEBACK",
+	TWriteBackAck: "WRITEBACKack",
+	TMaxIdx:       "MAXIDX",
+	TCnsPrep:      "CNS-PREPARE",
+	TCnsProm:      "CNS-PROMISE",
+	TCnsAcc:       "CNS-ACCEPT",
+	TCnsAccAck:    "CNS-ACCEPTack",
+	TCnsDecide:    "CNS-DECIDE",
 }
 
 // String returns the pseudocode name of the message type.
@@ -116,5 +111,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Valid reports whether t is a known message type.
-func (t Type) Valid() bool { return t > TInvalid && t < numTypes }
+// Valid reports whether t is a known message type. Reserved (retired)
+// numbers have no name and are not valid.
+func (t Type) Valid() bool { return t > TInvalid && t < numTypes && typeNames[t] != "" }

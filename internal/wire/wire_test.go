@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -31,14 +32,6 @@ func sampleMessages() []*Message {
 		{Type: TWriteBack, Reg: types.RegVector{{TS: 2}}, Tag: 7},
 		{Type: TWriteBackAck, Tag: 7},
 		{Type: TMaxIdx, Epoch: 3, Reg: types.RegVector{{TS: 64}}, Maxima: []int64{64, 63}, MaxSNS: 12},
-		{Type: TResetProp, Epoch: 3},
-		{Type: TResetAck, Epoch: 3},
-		{Type: TResetCmt, Epoch: 3},
-		{Type: TResetDone, Epoch: 3},
-		{Type: TRegQuery, Src: 2, Tag: 9},
-		{Type: TRegQueryAck, Src: 2, Entry: types.TSValue{TS: 4, Val: types.Value("r")}, Tag: 9},
-		{Type: TRegWriteBack, Src: 2, Entry: types.TSValue{TS: 4, Val: types.Value("r")}, Tag: 10},
-		{Type: TRegWriteBackAck, Tag: 10},
 		{Type: TCnsPrep, Epoch: 4, TS: 7},
 		{Type: TCnsProm, Epoch: 4, TS: 7, SNS: 2, Reg: types.RegVector{{TS: 64, Val: types.Value("p")}}},
 		{Type: TCnsAcc, Epoch: 4, TS: 7, Reg: types.RegVector{{TS: 64}, {TS: 63}}},
@@ -297,10 +290,33 @@ func TestTypeString(t *testing.T) {
 	if TInvalid.Valid() || Type(250).Valid() {
 		t.Error("Valid() broken")
 	}
-	if !TResetDone.Valid() {
-		t.Error("TResetDone must be valid")
+	if !TMaxIdx.Valid() {
+		t.Error("TMaxIdx must be valid")
 	}
 	if !TCnsDecide.Valid() || TCnsPrep.String() != "CNS-PREPARE" {
 		t.Error("consensus types must be valid and named")
+	}
+}
+
+// TestRetiredTypesRejected pins the reserved numbers of retired message
+// kinds (20–23: the two-phase reset, 24–27: standalone register reads):
+// none is Valid, and a frame carrying one fails to decode, so a corrupted
+// or stale frame of a retired kind never reaches a handler. The numbers
+// of the surviving neighbours are pinned too — types are stable on the
+// wire.
+func TestRetiredTypesRejected(t *testing.T) {
+	if TMaxIdx != 19 || TCnsPrep != 28 || TCnsDecide != 32 {
+		t.Fatalf("surviving types renumbered: MAXIDX=%d CNS-PREPARE=%d CNS-DECIDE=%d, want 19, 28, 32",
+			TMaxIdx, TCnsPrep, TCnsDecide)
+	}
+	for n := 20; n <= 27; n++ {
+		typ := Type(n)
+		if typ.Valid() {
+			t.Errorf("retired type %d is Valid", n)
+		}
+		b := Marshal(&Message{Type: typ, From: 1, Epoch: 3})
+		if _, err := Unmarshal(b); !errors.Is(err, ErrBadType) {
+			t.Errorf("retired type %d: Unmarshal err = %v, want ErrBadType", n, err)
+		}
 	}
 }

@@ -1,22 +1,22 @@
-// Package workload provides reusable load generators for clusters: a
-// closed-loop driver (a fixed number of workers per node issuing
-// back-to-back operations with optional think time) and an open-loop
-// driver (Poisson arrivals at a target rate). Experiments, benchmarks and
-// the soak tools share these instead of hand-rolling goroutine loops.
+// Package workload provides the closed-loop load generator the capacity
+// benchmarks share: one worker per node issuing back-to-back operations
+// on the cluster's object 0 for a fixed duration, on the real clock.
 package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/metrics"
-	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/types"
 )
+
+// valueSize is the written payload size ν in bytes.
+const valueSize = 16
 
 // Mix selects the operation blend.
 type Mix struct {
@@ -29,31 +29,10 @@ type Mix struct {
 type ClosedLoopConfig struct {
 	// Duration of the run.
 	Duration time.Duration
-	// WorkersPerNode issues operations concurrently at every node. Note
-	// that operations of one node are serialised by the object (SWMR
-	// model), so >1 workers per node measures queueing, not parallelism.
-	WorkersPerNode int
-	// ValueSize is the written payload size ν in bytes.
-	ValueSize int
-	// Think is the maximum random pause between a worker's operations.
-	Think time.Duration
 	// Mix blends snapshots into the write stream.
 	Mix Mix
-	// Objects bounds the object ids the workers target: operations spread
-	// over objects [0, Objects). 0 (or anything above what the cluster
-	// hosts) means every hosted object.
-	Objects int
-	// ObjectSkew shapes the object popularity distribution as a Zipf law
-	// with parameter s = ObjectSkew (object 0 hottest). rand.Zipf requires
-	// s > 1; values ≤ 1 fall back to a uniform mix. Ignored with one object.
-	ObjectSkew float64
-	// Seed drives think times deterministically.
+	// Seed drives the written payloads deterministically.
 	Seed int64
-	// Clock paces the run. nil means real time; the cluster's
-	// *simclock.Virtual makes the whole load deterministic. Pacing (think
-	// time) always happens outside the latency stamps, so recorded
-	// latencies measure the operation alone.
-	Clock simclock.Clock
 }
 
 // Report summarises a load run.
@@ -79,86 +58,45 @@ func RunClosedLoop(c *core.Cluster, cfg ClosedLoopConfig) Report {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 200 * time.Millisecond
 	}
-	if cfg.WorkersPerNode <= 0 {
-		cfg.WorkersPerNode = 1
-	}
-	if cfg.ValueSize <= 0 {
-		cfg.ValueSize = 16
-	}
 
-	objects := cfg.Objects
-	if objects <= 0 || objects > c.Objects() {
-		objects = c.Objects()
-	}
-
-	clk := simclock.Or(cfg.Clock)
 	var writes, snaps, errs atomic.Int64
 	var writeLat, snapLat metrics.LatencyRecorder
-	stop := clk.NewEvent()
-	wg := clk.NewGroup()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
 
 	for id := 0; id < c.N(); id++ {
-		for w := 0; w < cfg.WorkersPerNode; w++ {
-			wg.Add(1)
-			id, w := id, w
-			clk.Go(fmt.Sprintf("workload-%d-%d", id, w), func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(id*131+w)))
-				// Single-object runs draw nothing extra from rng here, so
-				// their operation stream is unchanged from before
-				// multi-object hosting.
-				var zipf *rand.Zipf
-				if objects > 1 && cfg.ObjectSkew > 1 {
-					zipf = rand.NewZipf(rng, cfg.ObjectSkew, 1, uint64(objects-1))
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(id*131)))
+			payload := make(types.Value, valueSize)
+			for j := 0; !stop.Load(); j++ {
+				rng.Read(payload)
+				start := time.Now()
+				if err := c.Write(id, payload); err != nil {
+					errs.Add(1)
+				} else {
+					writes.Add(1)
+					writeLat.Record(time.Since(start))
 				}
-				pickObj := func() int {
-					switch {
-					case objects == 1:
-						return 0
-					case zipf != nil:
-						return int(zipf.Uint64())
-					default:
-						return rng.Intn(objects)
-					}
-				}
-				payload := make(types.Value, cfg.ValueSize)
-				for j := 0; ; j++ {
-					if stop.Fired() {
-						return
-					}
-					obj := pickObj()
-					rng.Read(payload)
-					start := clk.Now()
-					if err := c.WriteObject(id, obj, payload); err != nil {
+				if cfg.Mix.SnapshotEvery > 0 && j%cfg.Mix.SnapshotEvery == cfg.Mix.SnapshotEvery-1 {
+					start = time.Now()
+					if _, err := c.Snapshot(id); err != nil {
 						errs.Add(1)
 					} else {
-						writes.Add(1)
-						writeLat.Record(clk.Since(start))
-					}
-					if cfg.Mix.SnapshotEvery > 0 && j%cfg.Mix.SnapshotEvery == cfg.Mix.SnapshotEvery-1 {
-						start = clk.Now()
-						if _, err := c.SnapshotObject(id, obj); err != nil {
-							errs.Add(1)
-						} else {
-							snaps.Add(1)
-							snapLat.Record(clk.Since(start))
-						}
-					}
-					if cfg.Think > 0 {
-						// Pacing sleeps sit outside the latency stamps above:
-						// think time never pollutes the recorded op latency.
-						clk.Sleep(time.Duration(rng.Int63n(int64(cfg.Think))))
+						snaps.Add(1)
+						snapLat.Record(time.Since(start))
 					}
 				}
-			})
-		}
+			}
+		}(id)
 	}
 
-	start := clk.Now()
-	clk.Sleep(cfg.Duration)
-	stop.Fire()
+	start := time.Now()
+	time.Sleep(cfg.Duration)
+	stop.Store(true)
 	wg.Wait()
-	elapsed := clk.Since(start)
+	elapsed := time.Since(start)
 
 	r := Report{
 		Writes: writes.Load(), Snapshots: snaps.Load(), Errors: errs.Load(),
@@ -169,104 +107,4 @@ func RunClosedLoop(c *core.Cluster, cfg ClosedLoopConfig) Report {
 		r.Throughput = float64(r.Writes+r.Snapshots) / s
 	}
 	return r
-}
-
-// OpenLoopConfig issues operations at a target aggregate rate with
-// exponential inter-arrival times (Poisson process), spread round-robin
-// over the nodes. If the cluster cannot keep up, arrivals queue in
-// goroutines — open-loop measurement shows the latency cliff that
-// closed-loop drivers hide.
-type OpenLoopConfig struct {
-	Duration   time.Duration
-	RatePerSec float64
-	ValueSize  int
-	Mix        Mix
-	Seed       int64
-	// Clock paces arrivals. nil means real time. Latency is stamped when
-	// the operation actually issues, after the pacing sleep, so arrival
-	// pacing is subtracted from recorded latencies.
-	Clock simclock.Clock
-}
-
-// RunOpenLoop drives the cluster with Poisson arrivals and reports.
-func RunOpenLoop(c *core.Cluster, cfg OpenLoopConfig) Report {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 200 * time.Millisecond
-	}
-	if cfg.RatePerSec <= 0 {
-		cfg.RatePerSec = 100
-	}
-	if cfg.ValueSize <= 0 {
-		cfg.ValueSize = 16
-	}
-
-	clk := simclock.Or(cfg.Clock)
-	var writes, snaps, errs atomic.Int64
-	var writeLat, snapLat metrics.LatencyRecorder
-	wg := clk.NewGroup()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	start := clk.Now()
-	deadline := start.Add(cfg.Duration)
-	next := start
-	for i := 0; ; i++ {
-		// Exponential inter-arrival for a Poisson process.
-		gap := time.Duration(rng.ExpFloat64() / cfg.RatePerSec * float64(time.Second))
-		if gap > time.Second {
-			gap = time.Second
-		}
-		next = next.Add(gap)
-		if next.After(deadline) {
-			break
-		}
-		clk.Sleep(next.Sub(clk.Now()))
-		id := i % c.N()
-		isSnap := cfg.Mix.SnapshotEvery > 0 && i%cfg.Mix.SnapshotEvery == cfg.Mix.SnapshotEvery-1
-		seed := cfg.Seed + int64(i)
-		wg.Add(1)
-		clk.Go(fmt.Sprintf("openloop-%d", i), func() {
-			defer wg.Done()
-			// Stamped when the op issues, after the pacing sleep: arrival
-			// pacing (and any pacer overshoot) is subtracted from latency.
-			opStart := clk.Now()
-			if isSnap {
-				if _, err := c.Snapshot(id); err != nil {
-					errs.Add(1)
-					return
-				}
-				snaps.Add(1)
-				snapLat.Record(clk.Since(opStart))
-				return
-			}
-			payload := make(types.Value, cfg.ValueSize)
-			rand.New(rand.NewSource(seed)).Read(payload)
-			if err := c.Write(id, payload); err != nil {
-				errs.Add(1)
-				return
-			}
-			writes.Add(1)
-			writeLat.Record(clk.Since(opStart))
-		})
-	}
-	wg.Wait()
-	elapsed := clk.Since(start)
-
-	r := Report{
-		Writes: writes.Load(), Snapshots: snaps.Load(), Errors: errs.Load(),
-		Elapsed:  elapsed,
-		WriteLat: writeLat.Stats(), SnapLat: snapLat.Stats(),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		r.Throughput = float64(r.Writes+r.Snapshots) / s
-	}
-	return r
-}
-
-// OfferedVsAchieved computes the saturation ratio of an open-loop run.
-func (r Report) OfferedVsAchieved(cfg OpenLoopConfig) float64 {
-	offered := cfg.RatePerSec * cfg.Duration.Seconds()
-	if offered <= 0 {
-		return math.NaN()
-	}
-	return float64(r.Writes+r.Snapshots) / offered
 }

@@ -59,82 +59,3 @@ func TestClosedLoopDefaults(t *testing.T) {
 		t.Fatal("default mix must be writes-only")
 	}
 }
-
-func TestOpenLoopMeetsModestRate(t *testing.T) {
-	c := testCluster(t, core.NonBlockingSS)
-	cfg := OpenLoopConfig{
-		Duration:   200 * time.Millisecond,
-		RatePerSec: 200, // far below capacity
-		Mix:        Mix{SnapshotEvery: 10},
-		Seed:       2,
-	}
-	r := RunOpenLoop(c, cfg)
-	t.Log(r)
-	if r.Errors != 0 {
-		t.Fatalf("%d errors", r.Errors)
-	}
-	ratio := r.OfferedVsAchieved(cfg)
-	if ratio < 0.5 {
-		t.Fatalf("achieved only %.0f%% of a modest offered load", ratio*100)
-	}
-}
-
-func TestClosedLoopZipfMultiObject(t *testing.T) {
-	c, err := core.NewCluster(core.Config{
-		N: 4, Algorithm: core.NonBlockingSS, Delta: 2, Seed: 56,
-		Objects:      8,
-		LoopInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	r := RunClosedLoop(c, ClosedLoopConfig{
-		Duration:   200 * time.Millisecond,
-		Mix:        Mix{SnapshotEvery: 5},
-		ObjectSkew: 1.3,
-		Seed:       4,
-	})
-	t.Log(r)
-	if r.Errors != 0 {
-		t.Fatalf("%d errors on a healthy multi-object cluster", r.Errors)
-	}
-	if r.Writes == 0 || r.Snapshots == 0 {
-		t.Fatalf("no progress: %v", r)
-	}
-
-	// The Zipf mix must actually spread over objects while favouring
-	// object 0: sum each object's installed timestamps across nodes.
-	load := make([]int64, c.Objects())
-	for o := range load {
-		snap, err := c.SnapshotObject(0, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range snap {
-			load[o] += e.TS
-		}
-	}
-	touched := 0
-	for o, l := range load {
-		if l > 0 {
-			touched++
-		}
-		if o > 0 && l > load[0] {
-			t.Errorf("object %d outweighs the Zipf-hot object 0: %d vs %d", o, l, load[0])
-		}
-	}
-	if touched < 3 {
-		t.Errorf("Zipf mix reached only %d of %d objects", touched, len(load))
-	}
-}
-
-func TestClosedLoopThinkTimeThrottles(t *testing.T) {
-	c := testCluster(t, core.NonBlockingSS)
-	fast := RunClosedLoop(c, ClosedLoopConfig{Duration: 100 * time.Millisecond, Seed: 3})
-	slow := RunClosedLoop(c, ClosedLoopConfig{Duration: 100 * time.Millisecond, Think: 5 * time.Millisecond, Seed: 3})
-	if slow.Throughput >= fast.Throughput {
-		t.Errorf("think time did not throttle: %v vs %v op/s", slow.Throughput, fast.Throughput)
-	}
-}

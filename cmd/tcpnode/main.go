@@ -185,12 +185,11 @@ func main() {
 				fmt.Fprintf(w, "# TYPE selfstabsnap_delta_adjustments_total counter\nselfstabsnap_delta_adjustments_total %d\n",
 					tuner.Adjustments())
 			}
-			if depths, ack := obj.Runtime().DispatchDepths(); depths != nil {
+			if depths := obj.Runtime().DispatchDepths(); depths != nil {
 				fmt.Fprintf(w, "# TYPE selfstabsnap_dispatch_queue_depth gauge\n")
 				for i, d := range depths {
 					fmt.Fprintf(w, "selfstabsnap_dispatch_queue_depth{lane=\"shard%d\"} %d\n", i, d)
 				}
-				fmt.Fprintf(w, "selfstabsnap_dispatch_queue_depth{lane=\"ack\"} %d\n", ack)
 			}
 			fmt.Fprintf(w, "# TYPE selfstabsnap_objects_hosted gauge\nselfstabsnap_objects_hosted %d\n", len(objs))
 			if len(objs) > 1 {
@@ -217,7 +216,6 @@ func main() {
 					perObject = append(perObject, objStatus{Obj: o, Registers: registersOf[o]()})
 				}
 			}
-			shardDepths, ackDepth := obj.Runtime().DispatchDepths()
 			return struct {
 				ID          int                `json:"id"`
 				Addr        string             `json:"addr"`
@@ -231,7 +229,6 @@ func main() {
 				Registers   []regSummary       `json:"registers"`
 				PerObject   []objStatus        `json:"per_object,omitempty"` // capped at obsObjectCap entries
 				ShardDepths []int              `json:"shard_queue_depths,omitempty"`
-				AckDepth    int                `json:"ack_queue_depth"`
 				EventCounts map[string]int64   `json:"event_counts"`
 				Recent      []obs.JournalEvent `json:"recent_events"`
 				WriteLat    string             `json:"write_latency"`
@@ -249,8 +246,7 @@ func main() {
 				Delta:       deltaValue(),
 				Registers:   registers(),
 				PerObject:   perObject,
-				ShardDepths: shardDepths,
-				AckDepth:    ackDepth,
+				ShardDepths: obj.Runtime().DispatchDepths(),
 				EventCounts: journal.Counts(),
 				Recent:      journal.Events(),
 				WriteLat:    writeLat.Stats().String(),

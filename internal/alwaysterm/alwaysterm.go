@@ -71,8 +71,7 @@ func New(id int, tr netsim.Transport, cfg Config) *Node {
 		repSnap: make(map[TaskKey]types.RegVector),
 	}
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
-	nd.rb = rbcast.New(id, tr.N(), func(to int, m *wire.Message) { nd.rt.Send(to, m) }, nd.rbDeliver)
-	nd.rb.UseFanout(nd.rt.SendToMany) // marshal-once relay on capable transports
+	nd.rb = rbcast.New(id, tr.N(), int32(nd.rt.Obj()), func(to int, m *wire.Message) { nd.rt.Send(to, m) }, nd.rt.SendToMany, nd.rbDeliver)
 	return nd
 }
 
@@ -341,20 +340,6 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 		nd.mu.Unlock()
 		nd.rt.Send(int(m.From), reply)
 	}
-}
-
-// Route implements node.Router for sharded dispatch. TWriteAck and
-// TSnapshotAck go only to the quorum-call collector, so they take the ack
-// lane. TRBCast/TRBAck stay on shard lanes — the reliable-broadcast layer
-// handles them in HandleMessage (it tolerates reordering and duplication,
-// so any stable keying is legal; per-sender keeps each peer's echo stream
-// ordered). Everything else shards by sender (per-register FIFO).
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TWriteAck, wire.TSnapshotAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
 }
 
 // State is a copy of the node's principal variables.

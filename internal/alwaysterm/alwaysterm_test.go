@@ -192,3 +192,69 @@ func TestSurvivesMinorityCrash(t *testing.T) {
 		t.Errorf("snap = %v", snap)
 	}
 }
+
+// TestReliableBroadcastOnSecondObject drives Algorithm 2 as object 1 of a
+// multi-object host under loss, so reliable-broadcast envelopes are
+// retransmitted by the do-forever loop while clients broadcast and
+// handlers relay them. Run under -race it pins that an envelope reachable
+// from two goroutines is never written: rbcast builds it carrying its
+// object id, so the view's object stamping only reads it.
+func TestReliableBroadcastOnSecondObject(t *testing.T) {
+	const n = 4
+	net := netsim.New(netsim.Config{N: n, Seed: 13, Adversary: netsim.Adversary{DropProb: 0.2, MaxDelay: time.Millisecond}})
+	hosts := make([]*Node, n)
+	objs := make([]*Node, n)
+	for i := 0; i < n; i++ {
+		hosts[i] = New(i, net, Config{Runtime: fastOpts()})
+		opts := fastOpts()
+		opts.Attach = hosts[i].Runtime()
+		objs[i] = New(i, net, Config{Runtime: opts})
+		hosts[i].Start()
+	}
+	t.Cleanup(func() {
+		for _, nd := range hosts {
+			nd.Close()
+		}
+		net.Close()
+	})
+
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < 3 && errs[i] == nil; r++ {
+				if errs[i] = objs[i].Write(types.Value(fmt.Sprintf("o1-%d-%d", i, r))); errs[i] == nil {
+					_, errs[i] = objs[i].Snapshot()
+				}
+			}
+		}(i)
+	}
+	doneCh := make(chan struct{})
+	go func() { wg.Wait(); close(doneCh) }()
+	select {
+	case <-doneCh:
+	case <-time.After(20 * time.Second):
+		t.Fatal("object-1 operations hung")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	snap, err := objs[0].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, e := range snap {
+		if want := fmt.Sprintf("o1-%d-2", k); string(e.Val) != want {
+			t.Errorf("object 1 register %d = %q, want %q", k, e.Val, want)
+		}
+	}
+	if snap, err := hosts[0].Snapshot(); err != nil {
+		t.Fatal(err)
+	} else if snap[0].TS != 0 {
+		t.Errorf("object 0 register written by object-1 traffic: %v", snap)
+	}
+}

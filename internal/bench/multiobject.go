@@ -76,16 +76,6 @@ func (a *moAlg) HandleMessage(m *wire.Message) {
 
 func (a *moAlg) Tick() {}
 
-// Route mirrors the real algorithms' discipline: data shards by sender
-// (register k is written only by node k), acks ride the collector lane.
-// The runtime mixes the object id in on top, decorrelating objects.
-func (a *moAlg) Route(m *wire.Message) (node.Lane, int) {
-	if m.Type == wire.TWriteAck {
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
-
 // moNode builds one node hosting `objects` instances over a single shared
 // runtime: object 0 through node.Bind's fresh-runtime path, the rest
 // attached to it. hist selects each object's latency sink.
@@ -306,7 +296,7 @@ func RunMultiObject(p Params) []*Table {
 		}
 	}
 	scaling.AddNote("virtual clock: %v of modeled handler time per message, so scaling is machine-independent and deterministic per build; all objects multiplex one transport and one shard pool per node", moService)
-	scaling.AddNote("acks ride the dedicated collector lane under sharding (batched, no handler cost); data shards by (object, sender), so 64 objects × 8 senders cover any pool width")
+	scaling.AddNote("every message, acks included, shards by (object, sender); acks cost no modeled handler time, and 64 objects × 8 senders cover any pool width")
 	scaling.AddNote("objects=1 with shards=1 is the default two-goroutine topology: every message is handled inline on the receive loop")
 
 	iso := &Table{

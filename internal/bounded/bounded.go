@@ -418,16 +418,32 @@ func (f *fencedTransport) sendRaw(from, to int, m *wire.Message) {
 // requests while this node is frozen in a reset (acknowledgments still
 // flow so other nodes can drain their in-flight operations).
 func (f *fencedTransport) Send(from, to int, m *wire.Message) {
+	if f.fence(m) {
+		f.Transport.Send(from, to, m)
+	}
+}
+
+// SendMany applies Send's fence once for the whole fan-out. It must be
+// defined: otherwise the embedded transport's SendMany is promoted and
+// every broadcast bypasses the fence.
+func (f *fencedTransport) SendMany(from int, to []int, m *wire.Message) {
+	if f.fence(m) {
+		f.Transport.SendMany(from, to, m)
+	}
+}
+
+// fence reports whether m may leave this node, stamping data messages with
+// the current epoch. Reset-plane messages pass through unstamped.
+func (f *fencedTransport) fence(m *wire.Message) bool {
 	b := f.owner
 	if reset.IsResetType(m.Type) {
-		f.Transport.Send(from, to, m)
-		return
+		return true
 	}
 	if b.eng.Active() && b.frozen() && isRequest(m.Type) {
-		return
+		return false
 	}
 	m.Epoch = b.eng.Epoch()
-	f.Transport.Send(from, to, m)
+	return true
 }
 
 // Recv filters stale-epoch data messages and diverts reset-plane messages

@@ -128,3 +128,66 @@ func TestDefaultMaxInt(t *testing.T) {
 		t.Error("default threshold triggered a reset on a tiny workload")
 	}
 }
+
+// TestSendManyObeysFence pins the fan-out half of the fence: SendMany must
+// suppress, stamp and pass through exactly like a Send loop. The embedded
+// transport's own SendMany would otherwise be promoted and bypass it.
+func TestSendManyObeysFence(t *testing.T) {
+	to := []int{0, 1, 2}
+	paths := map[string]func(f *fencedTransport, m *wire.Message){
+		"Send": func(f *fencedTransport, m *wire.Message) {
+			for _, k := range to {
+				f.Send(0, k, m)
+			}
+		},
+		"SendMany": func(f *fencedTransport, m *wire.Message) { f.SendMany(0, to, m) },
+	}
+	for name, send := range paths {
+		t.Run(name, func(t *testing.T) {
+			net := netsim.New(netsim.Config{N: len(to), Seed: 11})
+			defer net.Close()
+			b := newShell(0, net, Config{})
+			// delivered sends m (carrying a stale epoch) and returns the
+			// epoch of every copy that reached a recipient.
+			delivered := func(typ wire.Type) []int64 {
+				send(b.ft, &wire.Message{Type: typ, Epoch: 41})
+				var got []int64
+				for _, k := range to {
+					for net.QueueLen(k) > 0 {
+						m, _ := net.Recv(k)
+						got = append(got, m.Epoch)
+					}
+				}
+				return got
+			}
+			want := func(typ wire.Type, epoch int64) {
+				t.Helper()
+				got := delivered(typ)
+				if len(got) != len(to) {
+					t.Fatalf("%v: %d copies delivered, want %d", typ, len(got), len(to))
+				}
+				for _, e := range got {
+					if e != epoch {
+						t.Fatalf("%v: delivered epoch %d, want %d", typ, e, epoch)
+					}
+				}
+			}
+
+			cur := b.eng.Epoch()
+			want(wire.TWrite, cur) // not frozen: requests flow, stamped
+
+			b.eng.Trigger()
+			b.syncGate()
+			if !b.frozen() {
+				t.Fatal("node not frozen after trigger")
+			}
+			for _, typ := range []wire.Type{wire.TWrite, wire.TSnapshot, wire.TGossip, wire.TSave} {
+				if got := delivered(typ); len(got) != 0 {
+					t.Errorf("%v: %d copies escaped the frozen fence", typ, len(got))
+				}
+			}
+			want(wire.TWriteAck, cur) // acks still flow, stamped
+			want(wire.TMaxIdx, 41)    // reset plane passes through unstamped
+		})
+	}
+}

@@ -115,12 +115,6 @@ type Config struct {
 	// (delta gossip on) suppresses sends the peer's fresh GOSSIPack
 	// already dominates.
 	FullGossip bool
-	// AdaptiveDelta retunes Algorithm 3's δ continuously from the live
-	// write/snapshot latency recorders (DeltaSS and BoundedDeltaSS only).
-	// Off by default: deterministic experiments keep δ fixed.
-	AdaptiveDelta bool
-	// TuneInterval is the adaptive-δ observation period (default 50ms).
-	TuneInterval time.Duration
 	// Seed drives all adversarial and corruption randomness (default 1).
 	Seed int64
 	// Adversary configures packet loss/duplication/delay.
@@ -214,10 +208,6 @@ type Cluster struct {
 
 	writeLat metrics.LatencyRecorder
 	snapLat  metrics.LatencyRecorder
-
-	tuner  *deltasnap.Tuner // nil unless AdaptiveDelta
-	stopEv simclock.Event
-	wg     *simclock.Group
 }
 
 // Errors returned by cluster construction and control.
@@ -259,14 +249,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	})
 	c := &Cluster{
 		cfg: cfg, clk: clk, net: net, rng: rand.New(rand.NewSource(cfg.Seed + 1)),
-		stopEv: clk.NewEvent(), wg: clk.NewGroup(),
 	}
 	ropts := node.Options{
 		LoopInterval: cfg.LoopInterval, RetxInterval: cfg.RetxInterval,
 		DispatchShards: cfg.DispatchShards, Clock: clk,
 	}
-	var deltaSetters []func(int64)
-
 	// makeInstance builds one (node, object) algorithm instance without
 	// starting it. rt is the host runtime the instance runs on; for object
 	// 0 ropt.Attach is nil and the instance creates the runtime, further
@@ -313,7 +300,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				inst.ackCorrupt = nd.CorruptAckTable
 				inst.ackStats = nd.AckStats
 			}
-			deltaSetters = append(deltaSetters, nd.SetDelta)
 			return inst, nd.Runtime(), nd.Start, nil
 		case StackedABD:
 			nd := stacked.New(i, net, stacked.Config{Runtime: ropt})
@@ -366,7 +352,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				inst.ackCorrupt = nd.InnerDelta().CorruptAckTable
 				inst.ackStats = nd.InnerDelta().AckStats
 			}
-			deltaSetters = append(deltaSetters, nd.InnerDelta().SetDelta)
 			return inst, nd.Runtime(), nd.Start, nil
 		default:
 			return objInstance{}, nil, nil, ErrUnknownAlg
@@ -399,36 +384,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		c.members = append(c.members, m)
 	}
-
-	if cfg.AdaptiveDelta && len(deltaSetters) > 0 {
-		c.tuner = deltasnap.NewTuner(cfg.Delta, deltasnap.TunerConfig{})
-		interval := cfg.TuneInterval
-		if interval <= 0 {
-			interval = 50 * time.Millisecond
-		}
-		c.wg.Add(1)
-		clk.Go("delta-tuner", func() {
-			defer c.wg.Done()
-			t := clk.NewTicker(interval)
-			defer t.Stop()
-			for {
-				if clk.Wait(c.stopEv, t) == 0 {
-					return
-				}
-				if d, changed := c.tuner.Observe(c.writeLat.Stats(), c.snapLat.Stats()); changed {
-					for _, set := range deltaSetters {
-						set(d)
-					}
-				}
-			}
-		})
-	}
 	return c, nil
 }
-
-// DeltaTuner exposes the adaptive-δ controller, or nil when
-// Config.AdaptiveDelta is off (or the algorithm has no δ).
-func (c *Cluster) DeltaTuner() *deltasnap.Tuner { return c.tuner }
 
 // CorruptAckTable fills node id's delta-gossip ack tables (every hosted
 // object's — a transient fault hits the whole node's memory) with
@@ -786,12 +743,10 @@ func (c *Cluster) Network() *netsim.Network { return c.net }
 
 // Close stops every node and the network.
 func (c *Cluster) Close() {
-	c.stopEv.Fire()
 	for i := range c.members {
 		for o := range c.members[i].objs {
 			c.members[i].objs[o].closer()
 		}
 	}
 	c.net.Close()
-	c.wg.Wait()
 }

@@ -637,20 +637,6 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 	}
 }
 
-// Route implements node.Router for sharded dispatch. TWriteAck,
-// TSnapshotAck and TSaveAck are consumed only by quorum-call acceptance
-// predicates (HandleMessage above has no case for any of them), so they
-// take the dedicated ack lane. All remaining traffic shards by the
-// sending node (per-register FIFO; the save/gossip merge paths are
-// monotone, so cross-sender interleavings are legal network reorderings).
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TWriteAck, wire.TSnapshotAck, wire.TSaveAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
-
 func containsNode(ts []wire.TaskInfo, id int32) bool {
 	for _, t := range ts {
 		if t.Node == id {

@@ -18,7 +18,7 @@ func TestOverloadConformance(t *testing.T) {
 }
 
 // TestOverloadConformanceSendMany asserts overload behaviour is identical
-// when the channel is filled through the SendMany fast path.
+// when the channel is filled through the SendMany fan-out.
 func TestOverloadConformanceSendMany(t *testing.T) {
 	const capacity = 16
 	n := netsim.New(netsim.Config{N: 2, Seed: 1, InboxCap: capacity})

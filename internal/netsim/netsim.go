@@ -40,6 +40,7 @@ type Transport interface {
 	// Send transmits m from node `from` to node `to`, taking a
 	// copy-on-write snapshot (see the payload sharing contract above).
 	Send(from, to int, m *wire.Message)
+	ManySender
 	// Recv blocks until a message addressed to node id arrives; ok is false
 	// once the transport is closed.
 	Recv(id int) (m *wire.Message, ok bool)
@@ -54,15 +55,16 @@ type Transport interface {
 	Close()
 }
 
-// ManySender is an optional Transport fast path for broadcast fan-out:
+// ManySender is the broadcast fan-out half of the Transport contract:
 // SendMany(from, to, m) must be observationally equivalent to calling
 // Send(from, k, m) for each k in to — same deliveries, same metering (one
 // RecordSend per (from, to) pair), same adversary treatment per recipient —
 // but may share one payload copy (or one encoding) across all recipients.
 // The sharing is safe because receivers treat arriving messages as
 // immutable, a contract internal/transporttest enforces under the race
-// detector. Node runtimes type-assert for this interface and fall back to a
-// Send loop when it is absent.
+// detector. A wrapping transport that embeds Transport must override
+// SendMany whenever it overrides Send, or the promoted inner SendMany
+// bypasses the wrapper.
 type ManySender interface {
 	SendMany(from int, to []int, m *wire.Message)
 }
@@ -599,7 +601,4 @@ func (n *Network) Close() {
 	}
 }
 
-var (
-	_ Transport  = (*Network)(nil)
-	_ ManySender = (*Network)(nil)
-)
+var _ Transport = (*Network)(nil)

@@ -11,20 +11,13 @@ import (
 	"selfstabsnap/internal/wire"
 )
 
-// dispatchCountAlg counts deliveries and routes like the real algorithms:
-// acks to the collector lane, everything else sharded by sender.
+// dispatchCountAlg counts deliveries.
 type dispatchCountAlg struct {
 	handled atomic.Int64
 }
 
 func (a *dispatchCountAlg) HandleMessage(*wire.Message) { a.handled.Add(1) }
 func (a *dispatchCountAlg) Tick()                       {}
-func (a *dispatchCountAlg) Route(m *wire.Message) (node.Lane, int) {
-	if m.Type == wire.TWriteAck {
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
 
 // BenchmarkDispatch is the real-clock companion to the virtual-clock
 // "multiobject" experiment (internal/bench): four senders flood one receiver

@@ -45,9 +45,13 @@ func (v *ObjView) Obj() int { return int(v.obj) }
 // stamp writes the view's object id into m's envelope. Arriving messages
 // have private envelopes (the transports' copy-on-write contract), so
 // stamping a relayed message is as safe as the transport stamping
-// From/To/Seq; payload slices are never touched.
+// From/To/Seq; payload slices are never touched. The write happens only
+// when the id differs: a message that already carries the view's id may
+// be in flight from several goroutines at once (a reliable-broadcast
+// envelope is retransmitted by the loop while a handler relays it), and
+// a plain read there is race-free where an idempotent write is not.
 func (v *ObjView) stamp(m *wire.Message) *wire.Message {
-	if m != nil {
+	if m != nil && m.Obj != v.obj {
 		m.Obj = v.obj
 	}
 	return m

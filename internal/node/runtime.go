@@ -21,16 +21,16 @@
 // call time.
 //
 // With Options.DispatchShards > 1 the receive loop stops handling messages
-// itself and routes them to a pool of shard workers and a dedicated
-// quorum-ack lane (see shard.go): HandleMessage then runs concurrently for
-// messages on different shards, but stays FIFO per shard key — which the
-// algorithms choose so each register's updates stay ordered (§2 only
-// requires that steps admit a serialization, which the history checker
-// verifies).
+// itself and routes them to a pool of shard workers keyed by (object,
+// sender) (see shard.go): each worker runs the same per-message step, so
+// HandleMessage runs concurrently for messages on different shards but
+// stays FIFO per sender — which keeps each register's updates ordered (§2
+// only requires that steps admit a serialization, which the history
+// checker verifies).
 //
 // A Runtime can host many independent algorithm instances — one snapshot
-// object each — multiplexed over the one transport, receive loop and
-// quorum-ack lane (see objview.go): messages carry a wire-level object id,
+// object each — multiplexed over the one transport and receive loop (see
+// objview.go): messages carry a wire-level object id,
 // the receive loop indexes the object table with it (bounds-guarded: a
 // corrupted id is metered and dropped, never indexed), and sharded
 // dispatch keys shards by (object, sender) so per-register FIFO holds per
@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"selfstabsnap/internal/mailbox"
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/obs"
@@ -89,9 +88,8 @@ type Options struct {
 	// default (and any value ≤ 1) handles every message inline on the
 	// receive loop: one goroutine, globally FIFO. Values > 1 enable
 	// sharded dispatch: the receive loop fans arriving messages out to
-	// DispatchShards workers by the algorithm's shard key (per-key FIFO
-	// preserved) plus a dedicated quorum-ack lane. Capped at
-	// MaxDispatchShards.
+	// DispatchShards workers keyed by (object, sender), per-key FIFO
+	// preserved. Capped at MaxDispatchShards.
 	DispatchShards int
 	// Attach, when non-nil, makes Bind join this existing host runtime as
 	// its next object instead of constructing a fresh single-object
@@ -105,8 +103,8 @@ type Options struct {
 // loop itself becomes the bottleneck.
 const MaxDispatchShards = 64
 
-// shardQueueCap bounds each shard lane's per-object queue and the ack
-// lane under sharded dispatch. Overflow drops the oldest queued message —
+// shardQueueCap bounds each shard lane's per-object queue under sharded
+// dispatch. Overflow drops the oldest queued message —
 // the same bounded-channel semantics as the transport inbox — and is
 // metered as an eviction.
 const shardQueueCap = 4096
@@ -140,11 +138,10 @@ type Runtime struct {
 	tr   netsim.Transport
 	opts Options
 
-	// objs is the object table: one hosted algorithm instance (plus its
-	// resolved optional Router) per object id. Built by AddObject before
-	// Start, immutable afterwards — the dispatching goroutines read it
-	// without synchronisation.
-	objs    []objSlot
+	// objs is the object table: one hosted algorithm instance per object
+	// id. Built by AddObject before Start, immutable afterwards — the
+	// dispatching goroutines read it without synchronisation.
+	objs    []Algorithm
 	started atomic.Bool
 
 	clk simclock.Clock
@@ -175,10 +172,8 @@ type Runtime struct {
 	lastTick   atomic.Int64 // clock nanos at the end of the latest tick
 	tickActive atomic.Bool
 
-	// Broadcast fast path, resolved once at construction: the transport's
-	// optional SendMany implementation (nil if absent) and the precomputed
-	// recipient sets, so the hot path allocates neither.
-	many   netsim.ManySender
+	// Recipient sets precomputed at construction, so the broadcast hot
+	// path does not allocate them.
 	allTo  []int // 0..n-1: broadcast includes the sender
 	peerTo []int // 0..n-1 minus self: gossip excludes the sender
 
@@ -187,14 +182,6 @@ type Runtime struct {
 	// shard lane is a fair per-object queue so a saturated object's
 	// backlog cannot head-of-line-block colder objects on the same shard.
 	shardQ []*fairLane
-	ackQ   *mailbox.Queue[*wire.Message]
-}
-
-// objSlot is one hosted object: its algorithm and the algorithm's optional
-// Router, resolved once at registration.
-type objSlot struct {
-	alg    Algorithm
-	router Router
 }
 
 // NewRuntime creates a runtime for node id over tr running alg as object 0.
@@ -226,7 +213,6 @@ func NewHost(id int, tr netsim.Transport, opts Options) *Runtime {
 		wg:      opts.Clock.NewGroup(),
 	}
 	r.collector.calls = make(map[uint64]*call)
-	r.many, _ = tr.(netsim.ManySender)
 	r.allTo = make([]int, r.n)
 	r.peerTo = make([]int, 0, r.n-1)
 	for k := 0; k < r.n; k++ {
@@ -248,8 +234,7 @@ func (r *Runtime) AddObject(alg Algorithm) *ObjView {
 	if len(r.objs) >= MaxObjects {
 		panic(fmt.Sprintf("node: more than MaxObjects=%d objects", MaxObjects))
 	}
-	router, _ := alg.(Router)
-	r.objs = append(r.objs, objSlot{alg: alg, router: router})
+	r.objs = append(r.objs, alg)
 	return &ObjView{Runtime: r, obj: int32(len(r.objs) - 1)}
 }
 
@@ -260,9 +245,9 @@ func (r *Runtime) Objects() int { return len(r.objs) }
 // fault may corrupt the id arbitrarily (the codec only rejects negative
 // ids, since it cannot know the table size); an out-of-range id is metered
 // as an invalid object and the message dropped — never indexed.
-func (r *Runtime) slot(m *wire.Message) *objSlot {
+func (r *Runtime) slot(m *wire.Message) Algorithm {
 	if o := int(m.Obj); o >= 0 && o < len(r.objs) {
-		return &r.objs[o]
+		return r.objs[o]
 	}
 	r.ctr.RecordInvalidObj()
 	return nil
@@ -304,8 +289,8 @@ func (r *Runtime) RecordEvent(kind, detail string) {
 }
 
 // Start launches the receive loop and the do-forever loop. With
-// DispatchShards > 1 it also launches a worker per shard and a dedicated
-// quorum-ack lane, which the receive loop routes into (see shard.go).
+// DispatchShards > 1 it also launches a worker per shard, which the
+// receive loop routes into (see shard.go).
 // Start is idempotent: a multi-object runtime is started through whichever
 // hosted algorithm's Start runs first, and the rest are no-ops.
 func (r *Runtime) Start() {
@@ -323,17 +308,13 @@ func (r *Runtime) Start() {
 		for i := range r.shardQ {
 			r.shardQ[i] = newFairLane(r.clk, len(r.objs), shardQueueCap)
 		}
-		r.ackQ = mailbox.NewClocked[*wire.Message](r.clk, shardQueueCap)
-		r.wg.Add(1 + len(r.shardQ))
+		r.wg.Add(len(r.shardQ))
 	}
 	r.wg.Add(2)
 	r.clk.Go(fmt.Sprintf("node%d-recv", r.id), r.recvLoop)
 	for i := range r.shardQ {
 		q := r.shardQ[i]
 		r.clk.Go(fmt.Sprintf("node%d-shard%d", r.id, i), func() { r.shardLoop(q) })
-	}
-	if r.ackQ != nil {
-		r.clk.Go(fmt.Sprintf("node%d-acks", r.id), r.ackLoop)
 	}
 	r.clk.Go(fmt.Sprintf("node%d-loop", r.id), r.loop)
 }
@@ -362,8 +343,8 @@ func (r *Runtime) Close() {
 // crash-drop and the object-id bounds check. With one dispatch shard it
 // then handles the message inline, so the default topology is two
 // goroutines per node (this loop and the do-forever loop), globally FIFO.
-// With more shards it only classifies, routing each message to a shard
-// lane or the ack lane (see shard.go).
+// With more shards it routes each message to its shard lane (see
+// shard.go).
 func (r *Runtime) recvLoop() {
 	defer r.wg.Done()
 	if r.shardQ != nil {
@@ -379,14 +360,14 @@ func (r *Runtime) recvLoop() {
 		if r.crashed.Load() {
 			continue // a crashed node takes no steps; arriving messages are lost
 		}
-		slot := r.slot(m)
-		if slot == nil {
+		alg := r.slot(m)
+		if alg == nil {
 			continue // corrupted object id: metered, dropped
 		}
 		if r.shardQ == nil {
-			r.handle(slot.alg, m)
+			r.handle(alg, m)
 		} else {
-			r.route(slot, m)
+			r.route(m)
 		}
 	}
 }
@@ -415,7 +396,7 @@ func (r *Runtime) loop() {
 		// paper's loop, sequentially multiplexed. (Single-object runtimes
 		// take the identical code path over a one-entry table.)
 		for i := range r.objs {
-			r.objs[i].alg.Tick()
+			r.objs[i].Tick()
 		}
 		r.tickActive.Store(false)
 		r.loopCount.Add(1)
@@ -513,54 +494,30 @@ func (r *Runtime) Send(to int, m *wire.Message) {
 
 // Broadcast sends a fresh copy of m to every node, including the sender
 // itself, as in the paper's "broadcast" which the sending node also
-// receives. On transports implementing netsim.ManySender the payload is
-// copied (or marshalled) once and fanned out, instead of once per node.
+// receives. The transport copies (or marshals) the payload once and fans
+// it out.
 func (r *Runtime) Broadcast(m *wire.Message) {
-	if r.Crashed() {
-		return
-	}
-	if r.many != nil {
-		r.many.SendMany(r.id, r.allTo, m)
-		return
-	}
-	for k := 0; k < r.n; k++ {
-		r.tr.Send(r.id, k, m)
-	}
+	r.SendToMany(r.allTo, m)
 }
 
-// SendToMany transmits m to every node in to, using the transport's
-// fan-out fast path when available. Equivalent to calling Send per
-// recipient; used by layers (e.g. the reliable-broadcast relay) that fan
-// the same message out to an explicit recipient set.
+// SendToMany transmits m to every node in to through the transport's
+// fan-out. Equivalent to calling Send per recipient; used by layers (e.g.
+// the reliable-broadcast relay) that fan the same message out to an
+// explicit recipient set.
 func (r *Runtime) SendToMany(to []int, m *wire.Message) {
 	if r.Crashed() {
 		return
 	}
-	if r.many != nil {
-		r.many.SendMany(r.id, to, m)
-		return
-	}
-	for _, k := range to {
-		r.tr.Send(r.id, k, m)
-	}
+	r.tr.SendMany(r.id, to, m)
 }
 
 // GossipTo sends build(k) to every node k except the sender (Algorithm 1
 // line 11). Builders commonly return the same *wire.Message for every
-// peer (state gossip reflects the sender's state, not the recipient); when
-// the transport supports fan-out, maximal runs of consecutive identical
-// pointers are detected and sent marshal-once. Per-recipient messages are
-// sent individually, as before.
+// peer (state gossip reflects the sender's state, not the recipient), so
+// maximal runs of consecutive identical pointers are sent marshal-once
+// through the fan-out. Per-recipient messages are sent individually.
 func (r *Runtime) GossipTo(build func(k int) *wire.Message) {
 	if r.Crashed() {
-		return
-	}
-	if r.many == nil {
-		for _, k := range r.peerTo {
-			if m := build(k); m != nil {
-				r.tr.Send(r.id, k, m)
-			}
-		}
 		return
 	}
 	// Group consecutive peers whose builder returned the same pointer.
@@ -573,7 +530,7 @@ func (r *Runtime) GossipTo(build func(k int) *wire.Message) {
 		if len(run) == 1 {
 			r.tr.Send(r.id, run[0], cur)
 		} else {
-			r.many.SendMany(r.id, run, cur)
+			r.tr.SendMany(r.id, run, cur)
 		}
 		run, cur = run[:0], nil
 	}

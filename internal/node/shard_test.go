@@ -10,16 +10,15 @@ import (
 	"selfstabsnap/internal/wire"
 )
 
-// shardAlg is an echo algorithm implementing Router: TWriteAck rides the
-// ack lane, everything else shards by sender. It records, per sender, the
-// SSN sequence in arrival order so tests can assert per-sender FIFO.
+// shardAlg is an echo algorithm: it answers TWrite with a TWriteAck and
+// records, per sender, the SSN sequence in arrival order so tests can
+// assert per-sender FIFO.
 type shardAlg struct {
 	rt *Runtime
 
-	mu      sync.Mutex
-	bySrc   map[int32][]int64
-	totals  int
-	ackSeen int // HandleMessage invocations for ack-lane types (must stay 0)
+	mu     sync.Mutex
+	bySrc  map[int32][]int64
+	totals int
 }
 
 func newShardAlg() *shardAlg { return &shardAlg{bySrc: make(map[int32][]int64)} }
@@ -28,9 +27,6 @@ func (a *shardAlg) HandleMessage(m *wire.Message) {
 	a.mu.Lock()
 	a.bySrc[m.From] = append(a.bySrc[m.From], m.SSN)
 	a.totals++
-	if m.Type == wire.TWriteAck {
-		a.ackSeen++
-	}
 	a.mu.Unlock()
 	if m.Type == wire.TWrite {
 		a.rt.Send(int(m.From), &wire.Message{Type: wire.TWriteAck, SSN: m.SSN})
@@ -38,13 +34,6 @@ func (a *shardAlg) HandleMessage(m *wire.Message) {
 }
 
 func (a *shardAlg) Tick() {}
-
-func (a *shardAlg) Route(m *wire.Message) (Lane, int) {
-	if m.Type == wire.TWriteAck {
-		return LaneAck, 0
-	}
-	return LaneShard, int(m.From)
-}
 
 func (a *shardAlg) total() int {
 	a.mu.Lock()
@@ -91,9 +80,8 @@ func TestShardedAccessors(t *testing.T) {
 	if got := rts[0].DispatchShards(); got != 4 {
 		t.Errorf("DispatchShards = %d, want 4", got)
 	}
-	shards, _ := rts[0].DispatchDepths()
-	if len(shards) != 4 {
-		t.Errorf("DispatchDepths lanes = %d, want 4", len(shards))
+	if depths := rts[0].DispatchDepths(); len(depths) != 4 {
+		t.Errorf("DispatchDepths lanes = %d, want 4", len(depths))
 	}
 
 	// Unsharded runtimes report the classic topology.
@@ -103,17 +91,17 @@ func TestShardedAccessors(t *testing.T) {
 	if rt.DispatchShards() != 1 {
 		t.Errorf("unsharded DispatchShards = %d", rt.DispatchShards())
 	}
-	if shards, ack := rt.DispatchDepths(); shards != nil || ack != 0 {
+	if rt.DispatchDepths() != nil {
 		t.Error("unsharded DispatchDepths must be empty")
 	}
 }
 
 // TestShardedCallReachesQuorum drives the full quorum path — broadcast,
-// sharded server handling, ack-lane matching with offerBatch — across
+// sharded server handling, ack matching on the sender's shard — across
 // every shard count worth distinguishing.
 func TestShardedCallReachesQuorum(t *testing.T) {
 	for _, shards := range []int{2, 4, 7} {
-		algs, rts := newShardCluster(t, 5, shards)
+		_, rts := newShardCluster(t, 5, shards)
 		for op := int64(1); op <= 3; op++ {
 			recs, err := rts[0].Call(CallOpts{
 				Build:  func() *wire.Message { return &wire.Message{Type: wire.TWrite, SSN: op} },
@@ -132,15 +120,6 @@ func TestShardedCallReachesQuorum(t *testing.T) {
 				}
 				seen[m.From] = true
 			}
-		}
-		// The ack lane bypasses HandleMessage entirely: no node's handler
-		// may ever have seen a TWriteAck.
-		for i, a := range algs {
-			a.mu.Lock()
-			if a.ackSeen != 0 {
-				t.Errorf("shards=%d node %d: HandleMessage saw %d acks; ack lane leaked", shards, i, a.ackSeen)
-			}
-			a.mu.Unlock()
 		}
 	}
 }

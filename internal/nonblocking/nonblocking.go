@@ -302,20 +302,6 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 	}
 }
 
-// Route implements node.Router for sharded dispatch. TWriteAck and
-// TSnapshotAck are consumed only by the runtime's quorum-call collector
-// (HandleMessage above ignores them), so they take the dedicated ack
-// lane. Everything else shards by the sending node: register k is written
-// only by node k, so per-sender FIFO is per-register FIFO, and the gossip
-// ack table keyed by peer stays ordered per peer too.
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TWriteAck, wire.TSnapshotAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
-
 // State is a copy of a node's algorithm variables, used by invariant checks
 // and recovery experiments.
 type State struct {

@@ -41,8 +41,9 @@ type pendingBcast struct {
 type RB struct {
 	id       int
 	n        int
+	obj      int32
 	send     func(to int, m *wire.Message)
-	sendMany func(to []int, m *wire.Message) // optional fan-out (see UseFanout)
+	sendMany func(to []int, m *wire.Message)
 	deliver  func(inner *wire.Message)
 
 	mu        sync.Mutex
@@ -51,27 +52,27 @@ type RB struct {
 	pending   map[key]*pendingBcast
 }
 
-// New creates an endpoint for node id of n. send transmits one message;
+// New creates an endpoint for node id of n on object obj. send transmits
+// one message (an acknowledgment); sendMany fans one envelope out to a
+// recipient set (e.g. node.ObjView.SendToMany, which marshals it once) and
+// must be observationally equivalent to calling send per recipient.
 // deliver is invoked exactly once per broadcast, on the goroutine that
 // first receives it (or synchronously from Broadcast for the originator).
-func New(id, n int, send func(to int, m *wire.Message), deliver func(inner *wire.Message)) *RB {
+//
+// Envelopes are built carrying obj, so the object-stamping send path only
+// ever reads them: a pending envelope is handed to sendMany both by
+// Broadcast or Handle and by the retransmitting Tick, possibly at once.
+func New(id, n int, obj int32, send func(to int, m *wire.Message), sendMany func(to []int, m *wire.Message), deliver func(inner *wire.Message)) *RB {
 	return &RB{
 		id:        id,
 		n:         n,
+		obj:       obj,
 		send:      send,
+		sendMany:  sendMany,
 		deliver:   deliver,
 		delivered: make(map[key]struct{}),
 		pending:   make(map[key]*pendingBcast),
 	}
-}
-
-// UseFanout installs an optional batched sender: transmit hands a whole
-// recipient set to sendMany (e.g. node.Runtime.SendToMany, which marshals
-// the envelope once per fan-out on capable transports) instead of calling
-// send once per peer. Must be called before the endpoint is used; sendMany
-// must be observationally equivalent to calling send for each recipient.
-func (r *RB) UseFanout(sendMany func(to []int, m *wire.Message)) {
-	r.sendMany = sendMany
 }
 
 // Broadcast reliably broadcasts inner to all nodes, delivering locally
@@ -81,6 +82,7 @@ func (r *RB) Broadcast(inner *wire.Message) {
 	r.nextTag++
 	env := &wire.Message{
 		Type:  wire.TRBCast,
+		Obj:   r.obj,
 		Src:   int32(r.id),
 		Tag:   r.nextTag,
 		Inner: inner.Clone(),
@@ -115,6 +117,7 @@ func (r *RB) Handle(m *wire.Message) bool {
 		// Relay on first delivery so the broadcast survives an originator
 		// crash; we also retransmit it until peers acknowledge.
 		env := m.Clone()
+		env.Obj = r.obj
 		r.pending[k] = &pendingBcast{env: env, acked: map[int32]struct{}{int32(r.id): {}, m.From: {}}}
 		r.mu.Unlock()
 
@@ -165,22 +168,7 @@ func (r *RB) Tick() {
 }
 
 func (r *RB) transmit(env *wire.Message, skip map[int32]struct{}) {
-	if r.sendMany != nil {
-		to := make([]int, 0, r.n-1)
-		for k := 0; k < r.n; k++ {
-			if k == r.id {
-				continue
-			}
-			if _, s := skip[int32(k)]; s {
-				continue
-			}
-			to = append(to, k)
-		}
-		if len(to) > 0 {
-			r.sendMany(to, env)
-		}
-		return
-	}
+	to := make([]int, 0, r.n-1)
 	for k := 0; k < r.n; k++ {
 		if k == r.id {
 			continue
@@ -188,7 +176,10 @@ func (r *RB) transmit(env *wire.Message, skip map[int32]struct{}) {
 		if _, s := skip[int32(k)]; s {
 			continue
 		}
-		r.send(k, env)
+		to = append(to, k)
+	}
+	if len(to) > 0 {
+		r.sendMany(to, env)
 	}
 }
 

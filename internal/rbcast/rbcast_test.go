@@ -33,7 +33,12 @@ func newHarness(n int) *harness {
 			h.delivered[i] = append(h.delivered[i], inner.Clone())
 			h.mu.Unlock()
 		}
-		h.rbs = append(h.rbs, New(i, n, send, deliver))
+		sendMany := func(to []int, m *wire.Message) {
+			for _, k := range to {
+				send(k, m)
+			}
+		}
+		h.rbs = append(h.rbs, New(i, n, 0, send, sendMany, deliver))
 	}
 	return h
 }

@@ -112,13 +112,15 @@ func (nd *Node) collect() (types.RegVector, error) {
 	view := nd.reg.Share()
 	nd.mu.Unlock()
 
-	tag = nd.tag.Add(1)
+	// A fresh variable, not tag: a stale snapshot of the active calls may
+	// still run the first call's Accept, which reads tag.
+	wbTag := nd.tag.Add(1)
 	_, err = nd.rt.Call(node.CallOpts{
 		Build: func() *wire.Message {
-			return &wire.Message{Type: wire.TWriteBack, Reg: view, Tag: tag}
+			return &wire.Message{Type: wire.TWriteBack, Reg: view, Tag: wbTag}
 		},
 		Accept: func(m *wire.Message) bool {
-			return m.Type == wire.TWriteBackAck && m.Tag == tag
+			return m.Type == wire.TWriteBackAck && m.Tag == wbTag
 		},
 	})
 	if err != nil {
@@ -180,20 +182,6 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 		nd.mu.Unlock()
 		nd.rt.Send(int(m.From), &wire.Message{Type: wire.TWriteBackAck, Tag: m.Tag})
 	}
-}
-
-// Route implements node.Router for sharded dispatch. All three ack types
-// of the ABD emulation are consumed only by quorum-call acceptance
-// predicates (HandleMessage above ignores them), so they take the
-// dedicated ack lane. Server requests shard by the sending node, which
-// keeps each writer's TUpdate stream — and so each emulated register's
-// update order — FIFO within its shard.
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TUpdateAck, wire.TCollectAck, wire.TWriteBackAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
 }
 
 // State is a copy of the node's variables.

@@ -7,12 +7,8 @@ import (
 	"selfstabsnap/internal/transporttest"
 )
 
-// The TCP transport must satisfy the same interfaces the simulator does,
-// including the broadcast fan-out fast path.
-var (
-	_ netsim.Transport  = (*Transport)(nil)
-	_ netsim.ManySender = (*Transport)(nil)
-)
+// The TCP transport must satisfy the same interface the simulator does.
+var _ netsim.Transport = (*Transport)(nil)
 
 // TestOverloadConformance runs the shared drop-oldest overload suite
 // against real sockets; internal/netsim runs the identical suite,

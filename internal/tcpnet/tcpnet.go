@@ -295,7 +295,7 @@ func (t *Transport) Send(from, to int, m *wire.Message) {
 	t.enqueueFrame(to, frame)
 }
 
-// SendMany implements the netsim.ManySender broadcast fast path: the frame
+// SendMany is the Transport's broadcast fan-out: the frame
 // is marshalled once and the same backing slice is queued to every
 // recipient's writer (writers only read frames, so sharing is safe). The
 // shared frame cannot carry a per-recipient To, so it is stamped with -1

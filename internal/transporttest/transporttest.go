@@ -6,7 +6,7 @@
 //   - overload: a bounded per-node inbox that loses the oldest queued
 //     message when full (the paper's §2 bounded-capacity lossy channels),
 //     with every loss metered as an eviction — whether the flood arrives
-//     via Send or via the SendMany fast path;
+//     via Send or via the SendMany fan-out;
 //   - fan-out equivalence: SendMany(from, to, m) delivers and meters
 //     exactly like a Send loop over to;
 //   - copy-on-write safety: recipients of one fan-out may read their
@@ -80,14 +80,10 @@ func OverloadDropOldest(t *testing.T, sender, receiver netsim.Transport, from, t
 }
 
 // OverloadDropOldestMany is OverloadDropOldest with the flood issued
-// through the SendMany fast path: overload behaviour must not depend on
+// through the SendMany fan-out: overload behaviour must not depend on
 // which send entry point filled the channel.
 func OverloadDropOldestMany(t *testing.T, sender, receiver netsim.Transport, from, to, capacity int) {
 	t.Helper()
-	many, ok := sender.(netsim.ManySender)
-	if !ok {
-		t.Fatalf("conformance: transport %T does not implement netsim.ManySender", sender)
-	}
 	total := capacity * 3
 
 	flooded := make(chan struct{})
@@ -95,7 +91,7 @@ func OverloadDropOldestMany(t *testing.T, sender, receiver netsim.Transport, fro
 		defer close(flooded)
 		dst := []int{to}
 		for i := 0; i < total; i++ {
-			many.SendMany(from, dst, &wire.Message{Type: wire.TGossip, SNS: int64(i)})
+			sender.SendMany(from, dst, &wire.Message{Type: wire.TGossip, SNS: int64(i)})
 		}
 	}()
 	select {
@@ -124,7 +120,7 @@ func OverloadDropOldestMany(t *testing.T, sender, receiver netsim.Transport, fro
 }
 
 // samplePayload builds a broadcast-shaped message: a RegVector payload plus
-// auxiliary slices, exercising every field the fan-out fast paths share.
+// auxiliary slices, exercising every field the fan-out paths share.
 func samplePayload(n int) *wire.Message {
 	reg := make(types.RegVector, n)
 	for i := range reg {
@@ -138,7 +134,7 @@ func samplePayload(n int) *wire.Message {
 	}
 }
 
-// SendManyEquivalence asserts the ManySender contract: SendMany(from, to, m)
+// SendManyEquivalence asserts the fan-out contract: SendMany(from, to, m)
 // must deliver to every recipient, and meter on the sender's counters,
 // exactly as the equivalent Send loop — one metered send of the same byte
 // size per (from, to) pair, each delivery carrying the full payload with a
@@ -147,10 +143,6 @@ func samplePayload(n int) *wire.Message {
 // endpoint for TCP).
 func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int) {
 	t.Helper()
-	many, ok := sender.(netsim.ManySender)
-	if !ok {
-		t.Fatalf("conformance: transport %T does not implement netsim.ManySender", sender)
-	}
 	payload := samplePayload(len(to))
 
 	check := func(label string, send func()) (msgs, bytes int64) {
@@ -183,7 +175,7 @@ func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id
 		}
 	})
 	manyMsgs, manyBytes := check("SendMany", func() {
-		many.SendMany(from, to, payload)
+		sender.SendMany(from, to, payload)
 	})
 	if manyMsgs != sendMsgs || manyBytes != sendBytes {
 		t.Fatalf("conformance: SendMany metered (%d msgs, %d bytes), Send loop metered (%d msgs, %d bytes)",
@@ -206,7 +198,6 @@ func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id
 // struct (not the sent slices) the moment a send returns.
 func ConcurrentFanout(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, rounds int) {
 	t.Helper()
-	many, _ := sender.(netsim.ManySender)
 
 	var wg sync.WaitGroup
 	for _, k := range to {
@@ -237,8 +228,8 @@ func ConcurrentFanout(t *testing.T, sender netsim.Transport, endpoint func(id in
 
 	payload := samplePayload(len(to))
 	for i := 0; i < rounds; i++ {
-		if many != nil && i%2 == 0 {
-			many.SendMany(from, to, payload)
+		if i%2 == 0 {
+			sender.SendMany(from, to, payload)
 		} else {
 			for _, k := range to {
 				sender.Send(from, k, payload)
@@ -279,7 +270,6 @@ func ConcurrentFanout(t *testing.T, sender netsim.Transport, endpoint func(id in
 // transport whose Recv observes node k.
 func PerPeerFIFO(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, count int) {
 	t.Helper()
-	many, _ := sender.(netsim.ManySender)
 
 	var wg sync.WaitGroup
 	for _, k := range to {
@@ -303,8 +293,8 @@ func PerPeerFIFO(t *testing.T, sender netsim.Transport, endpoint func(id int) ne
 
 	for i := 0; i < count; i++ {
 		m := &wire.Message{Type: wire.TGossip, SNS: int64(i)}
-		if many != nil && i%2 == 1 {
-			many.SendMany(from, to, m)
+		if i%2 == 1 {
+			sender.SendMany(from, to, m)
 		} else {
 			for _, k := range to {
 				sender.Send(from, k, m)
@@ -339,10 +329,6 @@ func PerPeerFIFO(t *testing.T, sender netsim.Transport, endpoint func(id int) ne
 // endpoint(k) must return the transport whose Recv observes node k.
 func MixedObjectTraffic(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, count int) {
 	t.Helper()
-	many, ok := sender.(netsim.ManySender)
-	if !ok {
-		t.Fatalf("conformance: transport %T does not implement netsim.ManySender", sender)
-	}
 
 	// Metering equivalence with a nonzero object id.
 	payload := samplePayload(len(to))
@@ -362,7 +348,7 @@ func MixedObjectTraffic(t *testing.T, sender netsim.Transport, endpoint func(id 
 		}
 	}
 	before = sender.Counters().Snapshot()
-	many.SendMany(from, to, payload)
+	sender.SendMany(from, to, payload)
 	manyDelta := sender.Counters().Snapshot().Sub(before)
 	for _, k := range to {
 		m, ok := recvTimeout(t, endpoint(k), k)
@@ -408,7 +394,7 @@ func MixedObjectTraffic(t *testing.T, sender netsim.Transport, endpoint func(id 
 	for i := 0; i < count; i++ {
 		m := &wire.Message{Type: wire.TGossip, SNS: int64(i), Obj: objOf(i)}
 		if i%2 == 1 {
-			many.SendMany(from, to, m)
+			sender.SendMany(from, to, m)
 		} else {
 			for _, k := range to {
 				sender.Send(from, k, m)

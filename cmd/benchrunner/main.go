@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"selfstabsnap/internal/bench"
-	"selfstabsnap/internal/obs"
+	"selfstabsnap/internal/metrics"
 )
 
 func main() {
@@ -74,7 +74,7 @@ func main() {
 	}
 	prog := progress{Started: time.Now(), Total: len(selected)}
 	if *obsAddr != "" {
-		srv := obs.NewServer(*obsAddr)
+		srv := metrics.NewServer(*obsAddr)
 		srv.SetStatus(func() any {
 			progMu.Lock()
 			defer progMu.Unlock()

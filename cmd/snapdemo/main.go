@@ -22,6 +22,7 @@ import (
 
 	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/netsim"
+	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/trace"
 	"selfstabsnap/internal/types"
 )
@@ -158,6 +159,13 @@ func main() {
 	}
 
 	fmt.Printf("\ntraffic:\n%s", cluster.Metrics())
+	var acks node.AckStats
+	for i := 0; i < *n; i++ {
+		acks = acks.Add(cluster.AckStats(i))
+	}
+	if acks != (node.AckStats{}) {
+		fmt.Printf("%-14s %s\n", "GOSSIP-MODE", acks)
+	}
 
 	if rec != nil {
 		fmt.Printf("\nmessage-sequence trace:\n%s", rec.Render(*n))

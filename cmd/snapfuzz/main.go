@@ -44,9 +44,8 @@ import (
 
 	"selfstabsnap/internal/chaos"
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/faults"
+	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
-	"selfstabsnap/internal/obs"
 )
 
 var algorithms = map[string]core.Algorithm{
@@ -126,7 +125,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *wanMatrix > 0 {
-		base.WAN = &faults.WANSpec{Regions: *wanMatrix, Cross: *wanCross, DropProb: *wanDrop}
+		base.WAN = &chaos.WANSpec{Regions: *wanMatrix, Cross: *wanCross, DropProb: *wanDrop}
 	}
 	if *flap > 0 {
 		base.Flapping = &chaos.FlappingSpec{Count: *flap, Period: *flapPer, Duty: *flapDuty}
@@ -138,7 +137,7 @@ func main() {
 	prog := newFuzzProgress(*runs)
 	shutdownObs := func() {}
 	if *obsAddr != "" {
-		srv := obs.NewServer(*obsAddr)
+		srv := metrics.NewServer(*obsAddr)
 		srv.SetStatus(prog.status)
 		if err := srv.Start(); err != nil {
 			fmt.Fprintln(os.Stderr, err)

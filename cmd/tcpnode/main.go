@@ -31,7 +31,6 @@ import (
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/nonblocking"
-	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/tcpnet"
 	"selfstabsnap/internal/types"
 )
@@ -93,7 +92,7 @@ func main() {
 	}
 	defer tr.Close()
 
-	journal := obs.NewJournal(0)
+	journal := metrics.NewJournal(0)
 	opts := node.Options{
 		LoopInterval:   50 * time.Millisecond,
 		RetxInterval:   200 * time.Millisecond,
@@ -112,6 +111,7 @@ func main() {
 		Start()
 		Close()
 		Runtime() *node.Runtime
+		AckStats() node.AckStats
 	}
 
 	// Object 0 builds the host runtime; the rest attach to it, multiplexing
@@ -149,7 +149,16 @@ func main() {
 	registers := registersOf[0]
 	defer obj.Close()
 
-	var writeLat, snapLat metrics.LatencyRecorder
+	var writeLat, snapLat metrics.Histogram
+
+	// gossipStats sums every hosted object's delta-gossip tallies.
+	gossipStats := func() node.AckStats {
+		var acks node.AckStats
+		for _, o := range objs {
+			acks = acks.Add(o.AckStats())
+		}
+		return acks
+	}
 
 	// deltaValue reports the node's live δ (the tuner may move it), or -1
 	// when the algorithm has no δ at all.
@@ -169,11 +178,24 @@ func main() {
 	}
 
 	if *obsAddr != "" {
-		srv := obs.NewServer(*obsAddr)
+		srv := metrics.NewServer(*obsAddr)
 		srv.AddCollector(func(w io.Writer) { tr.Counters().WritePrometheus(w) })
 		srv.AddCollector(func(w io.Writer) {
-			writeLat.Histogram().WritePrometheus(w, "selfstabsnap_write_latency_seconds")
-			snapLat.Histogram().WritePrometheus(w, "selfstabsnap_snapshot_latency_seconds")
+			acks := gossipStats()
+			for _, row := range []struct {
+				name string
+				v    int64
+			}{
+				{"selfstabsnap_gossip_full_total", acks.Full},
+				{"selfstabsnap_gossip_full_bytes_total", acks.FullBytes},
+				{"selfstabsnap_gossip_delta_total", acks.Delta},
+				{"selfstabsnap_gossip_delta_bytes_total", acks.DeltaBytes},
+				{"selfstabsnap_gossip_suppressed_total", acks.Suppressed},
+			} {
+				fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", row.name, row.name, row.v)
+			}
+			writeLat.WritePrometheus(w, "selfstabsnap_write_latency_seconds")
+			snapLat.WritePrometheus(w, "selfstabsnap_snapshot_latency_seconds")
 			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_iterations_total counter\nselfstabsnap_loop_iterations_total %d\n",
 				obj.Runtime().LoopCount())
 			fmt.Fprintf(w, "# TYPE selfstabsnap_journal_events_total counter\nselfstabsnap_journal_events_total %d\n",
@@ -217,23 +239,23 @@ func main() {
 				}
 			}
 			return struct {
-				ID          int                `json:"id"`
-				Addr        string             `json:"addr"`
-				Algorithm   string             `json:"algorithm"`
-				N           int                `json:"n"`
-				Shards      int                `json:"dispatch_shards"`
-				Objects     int                `json:"objects"`
-				LoopCount   int64              `json:"loop_count"`
-				LastTick    time.Time          `json:"last_tick"`
-				Delta       int64              `json:"delta"` // live δ; -1 when the algorithm has none
-				Registers   []regSummary       `json:"registers"`
-				PerObject   []objStatus        `json:"per_object,omitempty"` // capped at obsObjectCap entries
-				ShardDepths []int              `json:"shard_queue_depths,omitempty"`
-				EventCounts map[string]int64   `json:"event_counts"`
-				Recent      []obs.JournalEvent `json:"recent_events"`
-				WriteLat    string             `json:"write_latency"`
-				SnapLat     string             `json:"snapshot_latency"`
-				Traffic     string             `json:"traffic"`
+				ID          int                    `json:"id"`
+				Addr        string                 `json:"addr"`
+				Algorithm   string                 `json:"algorithm"`
+				N           int                    `json:"n"`
+				Shards      int                    `json:"dispatch_shards"`
+				Objects     int                    `json:"objects"`
+				LoopCount   int64                  `json:"loop_count"`
+				LastTick    time.Time              `json:"last_tick"`
+				Delta       int64                  `json:"delta"` // live δ; -1 when the algorithm has none
+				Registers   []regSummary           `json:"registers"`
+				PerObject   []objStatus            `json:"per_object,omitempty"` // capped at obsObjectCap entries
+				ShardDepths []int                  `json:"shard_queue_depths,omitempty"`
+				EventCounts map[string]int64       `json:"event_counts"`
+				Recent      []metrics.JournalEvent `json:"recent_events"`
+				WriteLat    string                 `json:"write_latency"`
+				SnapLat     string                 `json:"snapshot_latency"`
+				Traffic     string                 `json:"traffic"`
 			}{
 				ID:          *id,
 				Addr:        tr.Addr(),
@@ -297,6 +319,9 @@ func main() {
 		case <-stop:
 			s := tr.Counters().Snapshot()
 			fmt.Printf("\nshutting down; traffic:\n%s", s)
+			if acks := gossipStats(); acks != (node.AckStats{}) {
+				fmt.Printf("%-14s %s\n", "GOSSIP-MODE", acks)
+			}
 			return
 		case <-writeTick:
 			seq++
@@ -308,7 +333,7 @@ func main() {
 				continue
 			}
 			d := time.Since(start)
-			writeLat.Record(d)
+			writeLat.Observe(d)
 			fmt.Printf("wrote %q to obj %d in %v\n", v, o, d.Round(time.Millisecond))
 		case <-tuneTick:
 			if d, changed := tuner.Observe(writeLat.Stats(), snapLat.Stats()); changed {
@@ -325,7 +350,7 @@ func main() {
 				continue
 			}
 			d := time.Since(start)
-			snapLat.Record(d)
+			snapLat.Observe(d)
 			fmt.Printf("snapshot obj %d (%v): %s\n", o, d.Round(time.Millisecond), snap)
 		}
 	}

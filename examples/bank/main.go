@@ -23,7 +23,6 @@ import (
 
 	"selfstabsnap/internal/chaos"
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/faults"
 )
 
 func main() {
@@ -50,7 +49,7 @@ func main() {
 		N: *n, Algorithm: alg, Delta: 2, Seed: *seed,
 		// Three latency regions, 1ms cross-region delays, 5% cross-region
 		// loss — an asymmetric WAN the uniform adversary cannot model.
-		WAN: &faults.WANSpec{Regions: 3, Cross: time.Millisecond, DropProb: 0.05},
+		WAN: &chaos.WANSpec{Regions: 3, Cross: time.Millisecond, DropProb: 0.05},
 		// Two nodes on a periodic cut/heal train.
 		Flapping: &chaos.FlappingSpec{Count: 2, Period: 150 * time.Millisecond, Duty: 0.1},
 		// Slow-but-alive windows, crashes, and detectable restarts with

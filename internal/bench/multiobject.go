@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
-	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
@@ -47,7 +47,7 @@ const (
 type moAlg struct {
 	rt      *node.ObjView
 	clk     simclock.Clock
-	hist    *obs.Histogram
+	hist    *metrics.Histogram
 	handled *atomic.Int64 // node aggregate across objects
 	cold    *atomic.Int64 // non-nil on cold objects: isolation completion counter
 	lastNS  *atomic.Int64 // virtual completion time of the node's latest handle
@@ -80,7 +80,7 @@ func (a *moAlg) Tick() {}
 // runtime: object 0 through node.Bind's fresh-runtime path, the rest
 // attached to it. hist selects each object's latency sink.
 func moNode(v *simclock.Virtual, net netsim.Transport, id, objects, shards int,
-	hist func(obj int) *obs.Histogram, cold *atomic.Int64) ([]*moAlg, *node.Runtime) {
+	hist func(obj int) *metrics.Histogram, cold *atomic.Int64) ([]*moAlg, *node.Runtime) {
 	shared := &struct {
 		handled atomic.Int64
 		lastNS  atomic.Int64
@@ -141,12 +141,12 @@ func runMultiObject(senders, objects, msgs, shards int) moPoint {
 		})
 		defer net.Close()
 
-		agg := &obs.Histogram{}
-		recvAlgs, recvRT := moNode(v, net, 0, objects, shards, func(int) *obs.Histogram { return agg }, nil)
+		agg := &metrics.Histogram{}
+		recvAlgs, recvRT := moNode(v, net, 0, objects, shards, func(int) *metrics.Histogram { return agg }, nil)
 		senderViews := make([][]*moAlg, n)
 		rts := []*node.Runtime{recvRT}
 		for s := 1; s <= senders; s++ {
-			algs, rt := moNode(v, net, s, objects, shards, func(int) *obs.Histogram { return &obs.Histogram{} }, nil)
+			algs, rt := moNode(v, net, s, objects, shards, func(int) *metrics.Histogram { return &metrics.Histogram{} }, nil)
 			senderViews[s] = algs
 			rts = append(rts, rt)
 		}
@@ -205,9 +205,9 @@ func runMultiObjectIsolation(objects, coldMsgs, hotMsgs, shards int) (p99 time.D
 		})
 		defer net.Close()
 
-		coldHist, hotHist := &obs.Histogram{}, &obs.Histogram{}
+		coldHist, hotHist := &metrics.Histogram{}, &metrics.Histogram{}
 		var cold atomic.Int64
-		pick := func(o int) *obs.Histogram {
+		pick := func(o int) *metrics.Histogram {
 			if o == 0 {
 				return hotHist
 			}
@@ -217,7 +217,7 @@ func runMultiObjectIsolation(objects, coldMsgs, hotMsgs, shards int) (p99 time.D
 		senderViews := make([][]*moAlg, n)
 		rts := []*node.Runtime{recvRT}
 		for s := 1; s <= moSenders; s++ {
-			algs, rt := moNode(v, net, s, objects, shards, func(int) *obs.Histogram { return &obs.Histogram{} }, nil)
+			algs, rt := moNode(v, net, s, objects, shards, func(int) *metrics.Histogram { return &metrics.Histogram{} }, nil)
 			senderViews[s] = algs
 			rts = append(rts, rt)
 		}

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"selfstabsnap/internal/deltasnap"
-	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/nonblocking"
@@ -231,10 +230,6 @@ func (b *Node) AbortedOps() int64 { return b.aborted.Load() }
 
 // ResetActive reports whether a global reset is currently in progress.
 func (b *Node) ResetActive() bool { return b.eng.Active() }
-
-// ResetRejects returns how many hostile reset-plane or consensus messages
-// this node's engine has dropped before any state transition.
-func (b *Node) ResetRejects() uint64 { return b.eng.Rejects() }
 
 // RestartDetectable performs the paper's detectable restart of the whole
 // bounded node: the wrapped algorithm restarts with every variable
@@ -486,6 +481,3 @@ func isRequest(t wire.Type) bool {
 	}
 	return false
 }
-
-// Counters exposes the underlying transport's meters.
-func (f *fencedTransport) Counters() *metrics.Counters { return f.Transport.Counters() }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"selfstabsnap/internal/netsim"
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
 )
@@ -102,6 +103,41 @@ func TestResetStatsAccessors(t *testing.T) {
 	if nd.Runtime() == nil || nd.Inner() == nil {
 		t.Error("nil accessors")
 	}
+}
+
+// TestHostileResetFrameIsMetered wires the reset plane's one reject count
+// end to end: a MAXIDX frame with a short register vector, delivered to a
+// bounded node through its transport, is rejected by the reset engine and
+// must raise the transport's ResetRejects by exactly one.
+func TestHostileResetFrameIsMetered(t *testing.T) {
+	const n = 3
+	v := simclock.NewVirtual()
+	v.Run("reset-reject-metering", func() {
+		net := netsim.New(netsim.Config{N: n, Seed: 11, Clock: v})
+		opts := fastOpts()
+		opts.Clock = v
+		nodes := make([]*Node, n)
+		for i := range nodes {
+			nodes[i] = New(i, net, Config{Runtime: opts})
+			nodes[i].Start()
+		}
+		defer func() {
+			for _, nd := range nodes {
+				nd.Close()
+			}
+			net.Close()
+		}()
+		v.Sleep(10 * time.Millisecond)
+		before := net.Counters().ResetRejects()
+		net.Send(0, 1, &wire.Message{Type: wire.TMaxIdx, TS: 1, Reg: make(types.RegVector, n-1)})
+		v.Sleep(10 * time.Millisecond)
+		if got := net.Counters().ResetRejects() - before; got != 1 {
+			t.Errorf("ResetRejects rose by %d after one hostile MAXIDX frame, want 1", got)
+		}
+		if nodes[1].ResetActive() {
+			t.Error("hostile frame started a reset")
+		}
+	})
 }
 
 // TestDefaultMaxInt: without an explicit threshold the production default

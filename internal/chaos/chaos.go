@@ -47,7 +47,6 @@ import (
 	"selfstabsnap/internal/bank"
 	"selfstabsnap/internal/bounded"
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/faults"
 	"selfstabsnap/internal/history"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/simclock"
@@ -101,7 +100,7 @@ type Config struct {
 	// virtual-clock skew, at most MaxSkew (0 = network-flush window +
 	// 10ms). GenSchedule rejects — never clamps — configurations outside
 	// the legal envelope.
-	WAN               *faults.WANSpec
+	WAN               *WANSpec
 	Flapping          *FlappingSpec
 	SlowNodeRate      float64
 	SlowNodeFactor    float64

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/faults"
 )
 
 // chaosShards reads the CHAOS_SHARDS override — the CI determinism matrix
@@ -98,7 +97,7 @@ func (e corpusEntry) config() (Config, error) {
 		cfg.Adversary = hostileNet()
 	}
 	if e.WANRegions > 0 {
-		cfg.WAN = &faults.WANSpec{
+		cfg.WAN = &WANSpec{
 			Regions:  e.WANRegions,
 			Cross:    time.Duration(e.WANCrossUS) * time.Microsecond,
 			DropProb: e.WANDrop,

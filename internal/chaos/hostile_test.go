@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/faults"
 )
 
 // hostileConfig is the combined hostile-topology mix the nightly campaign
@@ -18,7 +17,7 @@ import (
 func hostileConfig(seed int64) Config {
 	return Config{
 		N: 5, Algorithm: core.DeltaSS, Delta: 2, Seed: seed,
-		WAN: &faults.WANSpec{
+		WAN: &WANSpec{
 			Regions: 3, Cross: time.Millisecond, DropProb: 0.05,
 		},
 		Flapping: &FlappingSpec{
@@ -198,14 +197,14 @@ func TestRunRejectsBadHostileConfigs(t *testing.T) {
 		wantErr error
 	}{
 		{"wan-one-region", func(c *Config) {
-			c.WAN = &faults.WANSpec{Regions: 1}
-		}, faults.ErrBadWANSpec},
+			c.WAN = &WANSpec{Regions: 1}
+		}, ErrBadWANSpec},
 		{"wan-more-regions-than-nodes", func(c *Config) {
-			c.WAN = &faults.WANSpec{Regions: 9}
-		}, faults.ErrBadWANSpec},
+			c.WAN = &WANSpec{Regions: 9}
+		}, ErrBadWANSpec},
 		{"wan-unfair-loss", func(c *Config) {
-			c.WAN = &faults.WANSpec{Regions: 3, DropProb: 0.7}
-		}, faults.ErrBadWANSpec},
+			c.WAN = &WANSpec{Regions: 3, DropProb: 0.7}
+		}, ErrBadWANSpec},
 		{"bank-with-corruption", func(c *Config) {
 			c.Bank, c.Corrupt = &BankSpec{}, true
 		}, ErrBankSpec},

@@ -97,7 +97,6 @@ type Machine struct {
 
 	maxSeen int64 // highest ballot observed anywhere
 	idle    int   // ticks since last observed progress
-	rejects uint64
 }
 
 // NewMachine returns a fresh instance for the given reset epoch.
@@ -121,9 +120,6 @@ func (m *Machine) Scrub() {
 
 // Epoch returns the instance's reset epoch.
 func (m *Machine) Epoch() int64 { return m.epoch }
-
-// Rejects returns how many hostile inputs were dropped.
-func (m *Machine) Rejects() uint64 { return m.rejects }
 
 // Decided returns the agreed value once the instance has decided.
 func (m *Machine) Decided() (types.RegVector, bool) { return m.decision, m.decided }
@@ -208,12 +204,12 @@ func (m *Machine) transmitPhase(res *Result) {
 // OnMessage handles one consensus message of this instance's epoch. The
 // caller has already validated the epoch; the machine bounds-checks the
 // sender id, ballot, and value shape itself (the InvalidTypes/InvalidObjs
-// discipline: hostile inputs are counted and dropped, never trusted).
+// discipline: hostile inputs are flagged Rejected and dropped, never
+// trusted).
 func (m *Machine) OnMessage(msg *wire.Message) Result {
 	var res Result
 	from := int(msg.From)
 	if !ValidShape(msg, m.n) {
-		m.rejects++
 		res.Rejected = true
 		return res
 	}
@@ -323,7 +319,6 @@ type DebugState struct {
 	Accepts   int
 	Decided   bool
 	MaxSeen   int64
-	Rejects   uint64
 }
 
 // Debug returns the current DebugState.
@@ -332,14 +327,14 @@ func (m *Machine) Debug() DebugState {
 		Epoch: m.epoch, Leading: m.leading, InAccept: m.inAccept,
 		Ballot: m.ballot, Promised: m.promised, AccBallot: m.accBallot,
 		Promises: len(m.promises), Accepts: len(m.accepts),
-		Decided: m.decided, MaxSeen: m.maxSeen, Rejects: m.rejects,
+		Decided: m.decided, MaxSeen: m.maxSeen,
 	}
 }
 
 // String renders a one-line summary.
 func (s DebugState) String() string {
-	return fmt.Sprintf("epoch=%d leading=%v accept=%v ballot=%d promised=%d decided=%v rejects=%d",
-		s.Epoch, s.Leading, s.InAccept, s.Ballot, s.Promised, s.Decided, s.Rejects)
+	return fmt.Sprintf("epoch=%d leading=%v accept=%v ballot=%d promised=%d decided=%v",
+		s.Epoch, s.Leading, s.InAccept, s.Ballot, s.Promised, s.Decided)
 }
 
 // DigestReg hashes a register vector with FNV-1a — the digest the

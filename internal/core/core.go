@@ -205,9 +205,6 @@ type Cluster struct {
 	net     *netsim.Network
 	members []member
 	rng     *rand.Rand
-
-	writeLat metrics.LatencyRecorder
-	snapLat  metrics.LatencyRecorder
 }
 
 // Errors returned by cluster construction and control.
@@ -412,10 +409,7 @@ func (c *Cluster) AckStats(id int) node.AckStats {
 	var sum node.AckStats
 	for o := range c.members[id].objs {
 		if stats := c.members[id].objs[o].ackStats; stats != nil {
-			s := stats()
-			sum.Full += s.Full
-			sum.Delta += s.Delta
-			sum.Suppressed += s.Suppressed
+			sum = sum.Add(stats())
 		}
 	}
 	return sum
@@ -464,12 +458,7 @@ func (c *Cluster) WriteObject(id, obj int, v types.Value) error {
 	if obj < 0 || obj >= c.cfg.Objects {
 		return ErrUnknownObject
 	}
-	start := c.clk.Now()
-	err := c.members[id].objs[obj].obj.Write(v)
-	if err == nil {
-		c.writeLat.Record(c.clk.Since(start))
-	}
-	return err
+	return c.members[id].objs[obj].obj.Write(v)
 }
 
 // Snapshot performs a snapshot operation at node id on object 0.
@@ -485,21 +474,8 @@ func (c *Cluster) SnapshotObject(id, obj int) (types.RegVector, error) {
 	if obj < 0 || obj >= c.cfg.Objects {
 		return nil, ErrUnknownObject
 	}
-	start := c.clk.Now()
-	snap, err := c.members[id].objs[obj].obj.Snapshot()
-	if err == nil {
-		c.snapLat.Record(c.clk.Since(start))
-	}
-	return snap, err
+	return c.members[id].objs[obj].obj.Snapshot()
 }
-
-// WriteLatencies summarises the latency of every successful Write issued
-// through the cluster facade.
-func (c *Cluster) WriteLatencies() metrics.LatencyStats { return c.writeLat.Stats() }
-
-// SnapshotLatencies summarises the latency of every successful Snapshot
-// issued through the cluster facade.
-func (c *Cluster) SnapshotLatencies() metrics.LatencyStats { return c.snapLat.Stats() }
 
 // Crash fails node id (it stops taking steps; messages to it are lost).
 func (c *Cluster) Crash(id int) { c.members[id].rt.Crash() }

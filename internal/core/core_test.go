@@ -202,30 +202,3 @@ func TestSequentialConsistencyAcrossAlgorithms(t *testing.T) {
 		})
 	}
 }
-
-// TestLatencyAccessors: the facade records per-operation latencies.
-func TestLatencyAccessors(t *testing.T) {
-	c, err := NewCluster(Config{N: 3, Algorithm: NonBlockingSS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.WriteLatencies().Count != 0 || c.SnapshotLatencies().Count != 0 {
-		t.Error("fresh cluster has latency samples")
-	}
-	for i := 0; i < 3; i++ {
-		if err := c.Write(0, types.Value("lat")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Snapshot(1); err != nil {
-		t.Fatal(err)
-	}
-	w, s := c.WriteLatencies(), c.SnapshotLatencies()
-	if w.Count != 3 || s.Count != 1 {
-		t.Errorf("latency counts = %d writes, %d snaps; want 3, 1", w.Count, s.Count)
-	}
-	if w.Mean <= 0 || s.Mean <= 0 {
-		t.Error("zero mean latency")
-	}
-}

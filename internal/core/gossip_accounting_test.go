@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
@@ -12,9 +13,10 @@ import (
 
 // TestGossipByteAccountingReconciles is the delta-gossip audit for the
 // simulated transport: every gossip message the algorithms build is
-// classified (full fallback or delta) and metered at build time with
-// m.Size(), and the transport meters the same messages on the send path —
-// so after the cluster quiesces the two books must agree to the byte.
+// classified (full fallback or delta) in the node's AckTable with
+// m.Size() at build time, and the transport meters the same messages on
+// the send path — so after the cluster quiesces the AckStats summed over
+// every node must agree with the transport to the byte.
 // A SendMany double-count, a missed per-peer build, or a classification
 // recorded for a message that was never sent would all break the equality.
 func TestGossipByteAccountingReconciles(t *testing.T) {
@@ -61,16 +63,16 @@ func TestGossipByteAccountingReconciles(t *testing.T) {
 				cluster.Close()
 
 				c := cluster.Counters()
-				snap := c.Snapshot()
-				if gotB, wantB := c.Bytes(wire.TGossip), snap.GossipFullBytes+snap.GossipDeltaBytes; gotB != wantB {
+				snap := totalAckStats(cluster)
+				if gotB, wantB := c.Bytes(wire.TGossip), snap.FullBytes+snap.DeltaBytes; gotB != wantB {
 					t.Errorf("transport metered %d gossip bytes, algorithms recorded %d (full %d + delta %d)",
-						gotB, wantB, snap.GossipFullBytes, snap.GossipDeltaBytes)
+						gotB, wantB, snap.FullBytes, snap.DeltaBytes)
 				}
-				if gotN, wantN := c.Messages(wire.TGossip), snap.GossipFull+snap.GossipDelta; gotN != wantN {
+				if gotN, wantN := c.Messages(wire.TGossip), snap.Full+snap.Delta; gotN != wantN {
 					t.Errorf("transport metered %d gossip messages, algorithms recorded %d (full %d + delta %d)",
-						gotN, wantN, snap.GossipFull, snap.GossipDelta)
+						gotN, wantN, snap.Full, snap.Delta)
 				}
-				if snap.GossipSuppressed == 0 {
+				if snap.Suppressed == 0 {
 					t.Error("idle cluster never suppressed a gossip send; delta mode is not engaging")
 				}
 			})
@@ -110,8 +112,7 @@ func TestGossipAccountingFullGossipMode(t *testing.T) {
 		cluster.Close()
 
 		c := cluster.Counters()
-		snap := c.Snapshot()
-		if snap.GossipFull != 0 || snap.GossipDelta != 0 || snap.GossipSuppressed != 0 {
+		if snap := totalAckStats(cluster); snap != (node.AckStats{}) {
 			t.Errorf("full-gossip mode recorded delta-gossip counters: %+v", snap)
 		}
 		if c.Bytes(wire.TGossip) == 0 {
@@ -121,4 +122,13 @@ func TestGossipAccountingFullGossipMode(t *testing.T) {
 			t.Error("full-gossip mode sent GOSSIPacks")
 		}
 	})
+}
+
+// totalAckStats sums every node's gossip-mode tallies.
+func totalAckStats(c *Cluster) node.AckStats {
+	var sum node.AckStats
+	for i := 0; i < c.N(); i++ {
+		sum = sum.Add(c.AckStats(i))
+	}
+	return sum
 }

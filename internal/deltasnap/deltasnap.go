@@ -328,14 +328,12 @@ func (nd *Node) Tick() {
 		nd.rt.GossipTo(full)
 	} else {
 		nd.acks.Advance()
-		counters := nd.rt.Counters()
 		nd.rt.GossipTo(func(k int) *wire.Message {
 			g := gossip[k]
 			st, fresh := nd.acks.Fresh(k)
 			if !fresh {
 				m := full(k)
-				nd.acks.NoteFull()
-				counters.RecordGossipFull(m.Size())
+				nd.acks.NoteFull(m.Size())
 				return m
 			}
 			// The peer acked (its own register index, its own sns, whether
@@ -346,7 +344,6 @@ func (nd *Node) Tick() {
 				(g.task.sns > st.SNS || (g.task.sns == st.SNS && !st.Done))
 			if g.entry.TS <= st.TS && g.task.sns <= st.SNS && !resultNeeded {
 				nd.acks.NoteSuppressed()
-				counters.RecordGossipSuppressed()
 				return nil
 			}
 			// Delta send: trim pieces the ack already covers. The receiver
@@ -359,8 +356,7 @@ func (nd *Node) Tick() {
 			if resultNeeded {
 				m.Saves = []wire.SaveEntry{{Node: int32(k), SNS: g.task.sns, Result: g.task.fnl}}
 			}
-			nd.acks.NoteDelta()
-			counters.RecordGossipDelta(m.Size())
+			nd.acks.NoteDelta(m.Size())
 			return m
 		})
 	}

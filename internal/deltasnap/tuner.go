@@ -54,7 +54,7 @@ type cumLatency struct {
 // Tuner turns the live write/snapshot latency histograms into ±1
 // adjustments of δ — the paper's E-series latency/communication trade-off
 // measured continuously instead of swept offline. Observe is fed
-// cumulative LatencyStats (as returned by metrics.LatencyRecorder.Stats);
+// cumulative LatencyStats (as returned by metrics.Histogram.Stats);
 // the tuner differences consecutive observations into windows, so each
 // decision reflects only recent operations. Safe for concurrent use.
 type Tuner struct {

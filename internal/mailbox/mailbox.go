@@ -21,7 +21,6 @@ package mailbox
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"selfstabsnap/internal/simclock"
 )
@@ -38,11 +37,6 @@ type Queue[T any] struct {
 	head   int
 	count  int
 	closed bool
-
-	// evictions is maintained inside Push's critical section but read
-	// lock-free, so a meter polling Evictions never contends with a
-	// concurrent Push/Pop storm.
-	evictions atomic.Int64
 }
 
 // New creates a queue holding at most capacity elements (minimum 1),
@@ -75,7 +69,6 @@ func (q *Queue[T]) Push(v T) (evicted bool) {
 		q.buf[q.head] = zero
 		q.head = (q.head + 1) % len(q.buf)
 		q.count--
-		q.evictions.Add(1)
 		evicted = true
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = v
@@ -173,9 +166,3 @@ func (q *Queue[T]) Len() int {
 
 // Cap returns the queue's fixed capacity.
 func (q *Queue[T]) Cap() int { return len(q.buf) }
-
-// Evictions returns the number of elements ever discarded by drop-oldest
-// overflow. The count is incremented inside Push's critical section (so it
-// can never disagree with the sequence of evicted elements) but read
-// without the lock.
-func (q *Queue[T]) Evictions() int64 { return q.evictions.Load() }

@@ -6,23 +6,21 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"selfstabsnap/internal/obs"
 )
 
-// TestLatencyRecorderBoundedMemory is the regression test for the
-// unbounded-growth bug: the recorder used to append every sample to a
-// slice, so a 10M-operation metered run held 80MB+ of samples (and grew
-// without bound). The histogram-backed recorder must stay O(1): flat heap
-// across 10M records and zero allocations per Record call.
-func TestLatencyRecorderBoundedMemory(t *testing.T) {
+// TestHistogramBoundedMemory is the regression test for the
+// unbounded-growth bug: latency recording used to append every sample to
+// a slice, so a 10M-operation metered run held 80MB+ of samples (and grew
+// without bound). The histogram must stay O(1): flat heap across 10M
+// observations and zero allocations per Observe call.
+func TestHistogramBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10M-record soak")
 	}
-	var l LatencyRecorder
+	var l Histogram
 	warm := func(n int) {
 		for i := 0; i < n; i++ {
-			l.Record(time.Duration(i%1_000_000) * time.Microsecond)
+			l.Observe(time.Duration(i%1_000_000) * time.Microsecond)
 		}
 	}
 	warm(1000) // fault in any lazy state before measuring
@@ -44,8 +42,8 @@ func TestLatencyRecorderBoundedMemory(t *testing.T) {
 	}
 
 	if !raceEnabled {
-		if allocs := testing.AllocsPerRun(1000, func() { l.Record(time.Millisecond) }); allocs != 0 {
-			t.Errorf("Record allocates %.1f objects per call, want 0", allocs)
+		if allocs := testing.AllocsPerRun(1000, func() { l.Observe(time.Millisecond) }); allocs != 0 {
+			t.Errorf("Observe allocates %.1f objects per call, want 0", allocs)
 		}
 	}
 }
@@ -58,9 +56,9 @@ func TestLatencyStatsDoesNotSort(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting under -race")
 	}
-	var l LatencyRecorder
+	var l Histogram
 	for i := 0; i < 1_000_000; i++ {
-		l.Record(time.Duration(i) * time.Microsecond)
+		l.Observe(time.Duration(i) * time.Microsecond)
 	}
 	var sink LatencyStats
 	if allocs := testing.AllocsPerRun(100, func() { sink = l.Stats() }); allocs != 0 {
@@ -78,9 +76,9 @@ func TestLatencyStatsDoesNotSort(t *testing.T) {
 // surprising if unstated. These tests state it.
 func TestLatencyP99SmallN(t *testing.T) {
 	mk := func(n int) LatencyStats {
-		var l LatencyRecorder
+		var l Histogram
 		for i := 1; i <= n; i++ {
-			l.Record(time.Duration(i) * time.Millisecond)
+			l.Observe(time.Duration(i) * time.Millisecond)
 		}
 		return l.Stats()
 	}
@@ -103,9 +101,9 @@ func TestLatencyP99SmallN(t *testing.T) {
 
 	// n=101 is the first n whose p99 rank (99) is below n-1, so P99 may
 	// drop below Max — but never above it.
-	var l LatencyRecorder
+	var l Histogram
 	for i := 1; i <= 101; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
+		l.Observe(time.Duration(i) * time.Millisecond)
 	}
 	if st := l.Stats(); st.P99 > st.Max {
 		t.Errorf("n=101: P99 %v > Max %v", st.P99, st.Max)
@@ -119,7 +117,7 @@ func TestLatencyP99SmallN(t *testing.T) {
 // implementation change.
 func TestLatencyGoldenQuantiles(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	var l LatencyRecorder
+	var l Histogram
 	samples := make([]time.Duration, 0, 50_000)
 	for i := 0; i < 50_000; i++ {
 		// Mixture resembling real operation latencies: a fast mode around
@@ -130,7 +128,7 @@ func TestLatencyGoldenQuantiles(t *testing.T) {
 		} else {
 			d = time.Duration(100+r.Intn(900)) * time.Microsecond
 		}
-		l.Record(d)
+		l.Observe(d)
 		samples = append(samples, d)
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
@@ -146,8 +144,8 @@ func TestLatencyGoldenQuantiles(t *testing.T) {
 		{"p90", st.P90, samples[n*90/100]},
 		{"p99", st.P99, samples[n*99/100]},
 	} {
-		if diff := obs.BucketIndex(tc.got) - obs.BucketIndex(tc.exact); diff < -1 || diff > 1 {
-			lo, hi := obs.BucketRange(tc.exact)
+		if diff := BucketIndex(tc.got) - BucketIndex(tc.exact); diff < -1 || diff > 1 {
+			lo, hi := BucketRange(tc.exact)
 			t.Errorf("%s: histogram %v vs exact %v: outside one bucket width of [%v,%v)",
 				tc.name, tc.got, tc.exact, lo, hi)
 		}

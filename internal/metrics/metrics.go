@@ -1,7 +1,16 @@
-// Package metrics provides lock-free counters used to meter every quantity
-// the paper's complexity claims are stated in: messages and bytes by message
-// type, operation counts and latencies, retransmissions, and do-forever loop
-// iterations (the basis of asynchronous-cycle measurements).
+// Package metrics is the one metering and observability package. It
+// holds the lock-free counters behind every quantity the paper's
+// complexity claims are stated in (messages and bytes by message type,
+// drops, duplicates, evictions, hostile-input rejects), a fixed-size
+// lock-free latency histogram, a bounded event journal, and the HTTP
+// export server (/metrics in Prometheus text format, /statusz JSON,
+// pprof).
+//
+// It imports only wire and the standard library, so every other package —
+// the transports, the node runtime, the algorithms and the cmd tools — can
+// depend on it without cycles. Every meter is O(1) space no matter how
+// many operations a run performs, so a long-running deployment can meter
+// every operation.
 package metrics
 
 import (
@@ -9,9 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
-	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/wire"
 )
 
@@ -28,18 +35,6 @@ type Counters struct {
 	invalidTypes atomic.Int64
 	invalidObjs  atomic.Int64
 	resetRejects atomic.Int64
-
-	// Gossip-mode accounting: how many GOSSIP sends were full-vector
-	// fallbacks vs ack-dominance deltas, and how many ticks suppressed a
-	// send entirely. Recorded by the algorithm layer at message-build time
-	// with the same Size() the transport meters, so on a clean network
-	// gossipFullBytes+gossipDeltaBytes reconciles exactly with the
-	// transport's Bytes(TGossip).
-	gossipFull       atomic.Int64
-	gossipFullBytes  atomic.Int64
-	gossipDelta      atomic.Int64
-	gossipDeltaBytes atomic.Int64
-	gossipSuppressed atomic.Int64
 }
 
 // inRange reports whether t indexes the fixed per-type arrays. A transient
@@ -102,33 +97,6 @@ func (c *Counters) RecordInvalidType() { c.invalidTypes.Add(1) }
 // transient fault may corrupt the id arbitrarily, and the dispatcher must
 // drop (and meter) such a message rather than index past the table.
 func (c *Counters) RecordInvalidObj() { c.invalidObjs.Add(1) }
-
-// RecordGossipFull accounts one full-vector fallback gossip send of n bytes
-// (no fresh ack from the peer: staleness, repair, or divergence).
-func (c *Counters) RecordGossipFull(n int) {
-	c.gossipFull.Add(1)
-	c.gossipFullBytes.Add(int64(n))
-}
-
-// RecordGossipDelta accounts one delta gossip send of n bytes (the entry
-// dominates what the peer last acked).
-func (c *Counters) RecordGossipDelta(n int) {
-	c.gossipDelta.Add(1)
-	c.gossipDeltaBytes.Add(int64(n))
-}
-
-// RecordGossipSuppressed accounts one per-peer gossip send elided because
-// the peer's fresh ack already dominates everything we would tell it.
-func (c *Counters) RecordGossipSuppressed() { c.gossipSuppressed.Add(1) }
-
-// GossipFull returns the number of full-vector fallback gossip sends.
-func (c *Counters) GossipFull() int64 { return c.gossipFull.Load() }
-
-// GossipDelta returns the number of delta gossip sends.
-func (c *Counters) GossipDelta() int64 { return c.gossipDelta.Load() }
-
-// GossipSuppressed returns the number of suppressed per-peer gossip sends.
-func (c *Counters) GossipSuppressed() int64 { return c.gossipSuppressed.Load() }
 
 // Messages returns the number of messages of type t sent so far; 0 for an
 // out-of-range t.
@@ -217,11 +185,6 @@ func (c *Counters) Snapshot() Snapshot {
 	s.InvalidTypes = c.invalidTypes.Load()
 	s.InvalidObjs = c.invalidObjs.Load()
 	s.ResetRejects = c.resetRejects.Load()
-	s.GossipFull = c.gossipFull.Load()
-	s.GossipFullBytes = c.gossipFullBytes.Load()
-	s.GossipDelta = c.gossipDelta.Load()
-	s.GossipDeltaBytes = c.gossipDeltaBytes.Load()
-	s.GossipSuppressed = c.gossipSuppressed.Load()
 	return s
 }
 
@@ -244,13 +207,6 @@ type Snapshot struct {
 	InvalidTypes  int64
 	InvalidObjs   int64
 	ResetRejects  int64
-
-	// Gossip-mode breakdown of the TGossip sends above.
-	GossipFull       int64
-	GossipFullBytes  int64
-	GossipDelta      int64
-	GossipDeltaBytes int64
-	GossipSuppressed int64
 }
 
 // Sub returns the difference s − o, the traffic between two snapshots.
@@ -267,12 +223,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		InvalidTypes:  s.InvalidTypes - o.InvalidTypes,
 		InvalidObjs:   s.InvalidObjs - o.InvalidObjs,
 		ResetRejects:  s.ResetRejects - o.ResetRejects,
-
-		GossipFull:       s.GossipFull - o.GossipFull,
-		GossipFullBytes:  s.GossipFullBytes - o.GossipFullBytes,
-		GossipDelta:      s.GossipDelta - o.GossipDelta,
-		GossipDeltaBytes: s.GossipDeltaBytes - o.GossipDeltaBytes,
-		GossipSuppressed: s.GossipSuppressed - o.GossipSuppressed,
 	}
 	for t, tc := range s.PerType {
 		prev := o.PerType[t]
@@ -318,66 +268,5 @@ func (s Snapshot) String() string {
 	if s.Reconnects != 0 || s.WriteFailures != 0 || s.InvalidTypes != 0 || s.InvalidObjs != 0 {
 		fmt.Fprintf(&b, "%-14s reconnects=%d write-failures=%d invalid-types=%d invalid-objs=%d\n", "TRANSPORT", s.Reconnects, s.WriteFailures, s.InvalidTypes, s.InvalidObjs)
 	}
-	if s.GossipFull != 0 || s.GossipDelta != 0 || s.GossipSuppressed != 0 {
-		fmt.Fprintf(&b, "%-14s full=%d (%dB) delta=%d (%dB) suppressed=%d\n", "GOSSIP-MODE",
-			s.GossipFull, s.GossipFullBytes, s.GossipDelta, s.GossipDeltaBytes, s.GossipSuppressed)
-	}
 	return b.String()
-}
-
-// LatencyRecorder accumulates operation latencies in a fixed-size,
-// lock-free log-bucketed histogram (obs.Histogram): O(1) memory no matter
-// how many operations a run performs, where the previous implementation
-// appended every sample to a slice and re-sorted it on each Stats call —
-// O(total operations) memory, enough to OOM a long metered campaign.
-// Count, Mean, Min and Max remain exact; P50/P90/P99 are interpolated
-// within their bucket (~35% relative width, so within one bucket of the
-// exact order statistic). Safe for concurrent use; the zero value is
-// ready to use.
-type LatencyRecorder struct {
-	h obs.Histogram
-}
-
-// Record adds one latency sample. Lock-free: a handful of atomic adds.
-func (l *LatencyRecorder) Record(d time.Duration) { l.h.Observe(d) }
-
-// Histogram exposes the underlying histogram, e.g. for Prometheus export.
-func (l *LatencyRecorder) Histogram() *obs.Histogram { return &l.h }
-
-// Stats summarises the recorded samples without sorting anything: one
-// pass over the 64 bucket counters.
-func (l *LatencyRecorder) Stats() LatencyStats {
-	s := l.h.Snapshot()
-	st := LatencyStats{Count: int(s.Count)}
-	if st.Count == 0 {
-		return st
-	}
-	st.Mean = s.Mean()
-	st.Min = s.Min
-	st.Max = s.Max
-	st.P50 = s.Quantile(50)
-	st.P90 = s.Quantile(90)
-	st.P99 = s.Quantile(99)
-	st.P999 = s.QuantilePermille(999)
-	return st
-}
-
-// LatencyStats summarises a latency distribution. Quantiles follow the
-// historical sorted-slice indexing, value-at-rank ⌊n·q/100⌋ — which pins
-// the small-n semantics: for n ≤ 100 that p99 rank is n-1, so P99 equals
-// Max exactly (and for n = 1, P50 does too). Larger n interpolate within
-// a histogram bucket.
-type LatencyStats struct {
-	Count               int
-	Mean, Min, Max, P50 time.Duration
-	P90                 time.Duration
-	P99                 time.Duration
-	// P999 is the p99.9 tail (rank ⌊n·999/1000⌋); for n ≤ 1000 it equals
-	// Max exactly, by the same indexing convention as P99 at n ≤ 100.
-	P999 time.Duration
-}
-
-// String renders the stats on one line.
-func (s LatencyStats) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v p99.9=%v max=%v", s.Count, s.Mean, s.P50, s.P90, s.P99, s.P999, s.Max)
 }

@@ -151,13 +151,13 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestLatencyRecorder(t *testing.T) {
-	var l LatencyRecorder
+func TestHistogramStats(t *testing.T) {
+	var l Histogram
 	if st := l.Stats(); st.Count != 0 {
-		t.Error("empty recorder not empty")
+		t.Error("empty histogram not empty")
 	}
 	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
+		l.Observe(time.Duration(i) * time.Millisecond)
 	}
 	st := l.Stats()
 	if st.Count != 100 {

@@ -42,11 +42,7 @@ func (c *Counters) WritePrometheus(w io.Writer) {
 		{"selfstabsnap_write_failures_total", s.WriteFailures},
 		{"selfstabsnap_invalid_types_total", s.InvalidTypes},
 		{"selfstabsnap_invalid_objs_total", s.InvalidObjs},
-		{"selfstabsnap_gossip_full_total", s.GossipFull},
-		{"selfstabsnap_gossip_full_bytes_total", s.GossipFullBytes},
-		{"selfstabsnap_gossip_delta_total", s.GossipDelta},
-		{"selfstabsnap_gossip_delta_bytes_total", s.GossipDeltaBytes},
-		{"selfstabsnap_gossip_suppressed_total", s.GossipSuppressed},
+		{"selfstabsnap_reset_rejects_total", s.ResetRejects},
 	} {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", row.name, row.name, row.v)
 	}

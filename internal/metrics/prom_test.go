@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unicode"
 
-	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/wire"
 )
 
@@ -31,10 +33,7 @@ func TestWritePrometheusMatchesSnapshot(t *testing.T) {
 	c.RecordInvalidType()
 	c.RecordInvalidObj()
 	c.RecordInvalidObj()
-	c.RecordGossipFull(40)
-	c.RecordGossipDelta(12)
-	c.RecordGossipDelta(12)
-	c.RecordGossipSuppressed()
+	c.RecordResetReject()
 
 	var buf bytes.Buffer
 	c.WritePrometheus(&buf)
@@ -42,7 +41,7 @@ func TestWritePrometheusMatchesSnapshot(t *testing.T) {
 }
 
 // TestMetricsEndpointMatchesSnapshot is the live-wire version: an
-// obs.Server with the counters registered as a collector, scraped over
+// Server with the counters registered as a collector, scraped over
 // real HTTP, must return parseable Prometheus text whose per-type message
 // counters match Snapshot exactly.
 func TestMetricsEndpointMatchesSnapshot(t *testing.T) {
@@ -53,7 +52,7 @@ func TestMetricsEndpointMatchesSnapshot(t *testing.T) {
 	c.RecordDrop()
 	c.RecordEviction()
 
-	srv := obs.NewServer("127.0.0.1:0")
+	srv := NewServer("127.0.0.1:0")
 	srv.AddCollector(func(w io.Writer) { c.WritePrometheus(w) })
 	if err := srv.Start(); err != nil {
 		t.Fatalf("start: %v", err)
@@ -78,28 +77,21 @@ func TestMetricsEndpointMatchesSnapshot(t *testing.T) {
 }
 
 // assertPromMatchesSnapshot parses Prometheus text from r and checks that
-// every counter Snapshot knows about appears with exactly its value.
+// every counter Snapshot knows about appears with exactly its value. The
+// scalar series are derived from Snapshot's int64 fields by reflection, so
+// a counter added to Snapshot but not to WritePrometheus fails here.
 func assertPromMatchesSnapshot(t *testing.T, r io.Reader, s Snapshot) {
 	t.Helper()
-	series, err := obs.ParsePrometheus(r)
+	series, err := ParsePrometheus(r)
 	if err != nil {
 		t.Fatalf("malformed Prometheus text: %v", err)
 	}
-	want := map[string]int64{
-		"selfstabsnap_messages_all_total":      s.Messages,
-		"selfstabsnap_message_bytes_all_total": s.Bytes,
-		"selfstabsnap_drops_total":             s.Drops,
-		"selfstabsnap_dups_total":              s.Dups,
-		"selfstabsnap_evictions_total":         s.Evictions,
-		"selfstabsnap_reconnects_total":        s.Reconnects,
-		"selfstabsnap_write_failures_total":    s.WriteFailures,
-		"selfstabsnap_invalid_types_total":     s.InvalidTypes,
-		"selfstabsnap_invalid_objs_total":      s.InvalidObjs,
-		"selfstabsnap_gossip_full_total":       s.GossipFull,
-		"selfstabsnap_gossip_full_bytes_total": s.GossipFullBytes,
-		"selfstabsnap_gossip_delta_total":      s.GossipDelta,
-		"selfstabsnap_gossip_delta_bytes_total": s.GossipDeltaBytes,
-		"selfstabsnap_gossip_suppressed_total":  s.GossipSuppressed,
+	want := map[string]int64{}
+	rv := reflect.ValueOf(s)
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.Kind() == reflect.Int64 {
+			want[promScalarName(rv.Type().Field(i).Name)] = f.Int()
+		}
 	}
 	for typ, tc := range s.PerType {
 		want[fmt.Sprintf("selfstabsnap_messages_total{type=%q}", typ.String())] = tc.Messages
@@ -123,4 +115,27 @@ func assertPromMatchesSnapshot(t *testing.T, r io.Reader, s Snapshot) {
 			}
 		}
 	}
+}
+
+// promScalarName maps a Snapshot field to its exported series name:
+// snake_case with the selfstabsnap_ prefix and _total suffix. The two
+// totals take an _all infix to stay distinct from the per-type families.
+func promScalarName(field string) string {
+	switch field {
+	case "Messages":
+		return "selfstabsnap_messages_all_total"
+	case "Bytes":
+		return "selfstabsnap_message_bytes_all_total"
+	}
+	var b strings.Builder
+	for i, r := range field {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return "selfstabsnap_" + b.String() + "_total"
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -52,10 +53,14 @@ type AckTable struct {
 	tick      int64
 	staleness int64
 
-	// Per-node gossip-mode tallies (the cluster-wide aggregate lives in
-	// metrics.Counters); the ack-corruption convergence tests watch these.
+	// Per-node gossip-mode tallies, the only place gossip decisions are
+	// counted. Bytes are recorded at build time with the same Size() the
+	// transport meters, so on a clean network fullBytes+deltaBytes
+	// reconciles exactly with the transport's Bytes(TGossip).
 	full       atomic.Int64
+	fullBytes  atomic.Int64
 	delta      atomic.Int64
+	deltaBytes atomic.Int64
 	suppressed atomic.Int64
 }
 
@@ -142,20 +147,56 @@ func (a *AckTable) Corrupt(rng *rand.Rand) {
 	a.mu.Unlock()
 }
 
-// NoteFull / NoteDelta / NoteSuppressed tally this node's per-peer gossip
-// decisions.
-func (a *AckTable) NoteFull()       { a.full.Add(1) }
-func (a *AckTable) NoteDelta()      { a.delta.Add(1) }
+// NoteFull accounts one full-vector fallback gossip send of n bytes (no
+// fresh ack from the peer: staleness, repair, or divergence).
+func (a *AckTable) NoteFull(n int) {
+	a.full.Add(1)
+	a.fullBytes.Add(int64(n))
+}
+
+// NoteDelta accounts one delta gossip send of n bytes (the peer's fresh
+// ack covers part of what we would tell it).
+func (a *AckTable) NoteDelta(n int) {
+	a.delta.Add(1)
+	a.deltaBytes.Add(int64(n))
+}
+
+// NoteSuppressed accounts one per-peer gossip send elided because the
+// peer's fresh ack already dominates everything we would tell it.
 func (a *AckTable) NoteSuppressed() { a.suppressed.Add(1) }
 
 // AckStats is a point-in-time copy of one node's gossip-mode tallies.
 type AckStats struct {
 	Full       int64
+	FullBytes  int64
 	Delta      int64
+	DeltaBytes int64
 	Suppressed int64
+}
+
+// Add returns the field-wise sum s + o, for aggregating across objects
+// or nodes.
+func (s AckStats) Add(o AckStats) AckStats {
+	return AckStats{
+		Full:       s.Full + o.Full,
+		FullBytes:  s.FullBytes + o.FullBytes,
+		Delta:      s.Delta + o.Delta,
+		DeltaBytes: s.DeltaBytes + o.DeltaBytes,
+		Suppressed: s.Suppressed + o.Suppressed,
+	}
+}
+
+// String renders the tallies on one line.
+func (s AckStats) String() string {
+	return fmt.Sprintf("full=%d (%dB) delta=%d (%dB) suppressed=%d",
+		s.Full, s.FullBytes, s.Delta, s.DeltaBytes, s.Suppressed)
 }
 
 // Stats returns the node's gossip-mode tallies.
 func (a *AckTable) Stats() AckStats {
-	return AckStats{Full: a.full.Load(), Delta: a.delta.Load(), Suppressed: a.suppressed.Load()}
+	return AckStats{
+		Full: a.full.Load(), FullBytes: a.fullBytes.Load(),
+		Delta: a.delta.Load(), DeltaBytes: a.deltaBytes.Load(),
+		Suppressed: a.suppressed.Load(),
+	}
 }

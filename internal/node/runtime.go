@@ -48,7 +48,6 @@ import (
 
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
-	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
@@ -83,7 +82,7 @@ type Options struct {
 	// Journal, when non-nil, receives self-stabilization events the
 	// algorithm reports via RecordEvent (corruption detections, resets,
 	// detectable restarts) for the /statusz observability endpoint.
-	Journal *obs.Journal
+	Journal *metrics.Journal
 	// DispatchShards is the number of parallel dispatch workers. The
 	// default (and any value ≤ 1) handles every message inline on the
 	// receive loop: one goroutine, globally FIFO. Values > 1 enable
@@ -255,11 +254,6 @@ func (r *Runtime) slot(m *wire.Message) Algorithm {
 
 // ID returns this node's identifier.
 func (r *Runtime) ID() int { return r.id }
-
-// Counters exposes the transport's meters, so algorithms can account
-// protocol-level decisions (delta vs full gossip) in the same place the
-// transport meters the resulting traffic.
-func (r *Runtime) Counters() *metrics.Counters { return r.tr.Counters() }
 
 // N returns the cluster size.
 func (r *Runtime) N() int { return r.n }

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
-	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
@@ -361,7 +361,7 @@ func TestLastTickAndJournal(t *testing.T) {
 		alg := &echoAlg{}
 		opts := fastOpts()
 		opts.Clock = v
-		opts.Journal = obs.NewJournal(4)
+		opts.Journal = metrics.NewJournal(4)
 		rt := NewRuntime(0, net, alg, opts)
 		alg.rt = rt
 		defer rt.Close()

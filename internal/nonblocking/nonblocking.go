@@ -102,7 +102,7 @@ func (nd *Node) Start() { nd.rt.Start() }
 // Close permanently stops the node.
 func (nd *Node) Close() { nd.rt.Close() }
 
-// Runtime exposes the lifecycle controls (crash/resume) and counters.
+// Runtime exposes lifecycle controls.
 func (nd *Node) Runtime() *node.Runtime { return nd.rt.Runtime }
 
 // Write performs the write(v) operation (Algorithm 1 lines 12–16): install
@@ -236,21 +236,17 @@ func (nd *Node) Tick() {
 		return
 	}
 	nd.acks.Advance()
-	counters := nd.rt.Counters()
 	nd.rt.GossipTo(func(k int) *wire.Message {
 		st, fresh := nd.acks.Fresh(k)
 		if fresh && st.TS >= gossip[k].TS {
 			nd.acks.NoteSuppressed()
-			counters.RecordGossipSuppressed()
 			return nil
 		}
 		m := &wire.Message{Type: wire.TGossip, Entry: gossip[k]}
 		if fresh {
-			nd.acks.NoteDelta()
-			counters.RecordGossipDelta(m.Size())
+			nd.acks.NoteDelta(m.Size())
 		} else {
-			nd.acks.NoteFull()
-			counters.RecordGossipFull(m.Size())
+			nd.acks.NoteFull(m.Size())
 		}
 		return m
 	})

@@ -24,8 +24,9 @@
 // and execute the outputs (messages to send, reset to apply). This keeps
 // it independently unit-testable without a network. Hostile inputs —
 // out-of-range sender ids, malformed vectors, misrouted types — are
-// bounds-checked at entry, counted, and dropped, mirroring the receive
-// loop's InvalidTypes/InvalidObjs discipline.
+// bounds-checked at entry, flagged in Result.Rejected for the caller to
+// meter, and dropped, mirroring the receive loop's InvalidTypes/InvalidObjs
+// discipline.
 package reset
 
 import (
@@ -59,7 +60,8 @@ type Result struct {
 	// arrived in a MAXIDX gossip and drives register convergence while
 	// nodes freeze).
 	MergeReg types.RegVector
-	// Rejected marks a hostile input that was counted and dropped.
+	// Rejected marks a hostile input that was dropped; the caller meters
+	// it (metrics.Counters.RecordResetReject).
 	Rejected bool
 }
 
@@ -121,7 +123,6 @@ type Engine struct {
 	lastDecided   types.RegVector
 	lastDecidedEp int64
 	hasDecided    bool
-	rejects       uint64
 	hook          func(Event)
 }
 
@@ -165,18 +166,6 @@ func (e *Engine) Blocking() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.phase == phaseWrap
-}
-
-// Rejects returns how many hostile reset-plane inputs were dropped
-// (engine-level; the consensus instance meters its own).
-func (e *Engine) Rejects() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.rejects
-	if e.cns != nil {
-		r += e.cns.Rejects()
-	}
-	return r
 }
 
 // Trigger starts a reset at this node (overflow observed locally). It is a
@@ -347,7 +336,7 @@ func (e *Engine) maybeProposeLocked(reg types.RegVector, frozen bool, res *Resul
 // OnMessage processes one reset-plane message. reg and frozen are as in
 // OnTick. The caller routes every IsResetType message here. The sender id
 // is bounds-checked at entry: a corrupted From outside [0,n) (or forging
-// this node's own id) is counted and dropped before it can touch any
+// this node's own id) is rejected and dropped before it can touch any
 // quorum bookkeeping.
 func (e *Engine) OnMessage(m *wire.Message, reg types.RegVector, frozen bool) Result {
 	e.mu.Lock()
@@ -428,7 +417,6 @@ func (e *Engine) OnMessage(m *wire.Message, reg types.RegVector, frozen bool) Re
 }
 
 func (e *Engine) rejectLocked(res *Result) Result {
-	e.rejects++
 	res.Rejected = true
 	return *res
 }
@@ -440,7 +428,6 @@ type DebugState struct {
 	SeenFrozen int // peers (incl. self slot) currently evidencing frozen
 	Proposed   bool
 	HasDecided bool
-	Rejects    uint64
 }
 
 // Debug returns a snapshot of the engine's internals.
@@ -455,7 +442,7 @@ func (e *Engine) Debug() DebugState {
 	}
 	return DebugState{
 		Phase: uint8(e.phase), Epoch: e.epoch, SeenFrozen: fr,
-		Proposed: e.proposed, HasDecided: e.hasDecided, Rejects: e.rejects,
+		Proposed: e.proposed, HasDecided: e.hasDecided,
 	}
 }
 

@@ -48,28 +48,61 @@ func TestWriteSnapshotBasic(t *testing.T) {
 	}
 }
 
+// virtualCluster builds an n-node stacked cluster on the virtual clock v;
+// call it inside v.Run and close the returned func before returning.
+func virtualCluster(v *simclock.Virtual, n int, seed int64) ([]*Node, *netsim.Network, func()) {
+	net := netsim.New(netsim.Config{N: n, Seed: seed, Clock: v})
+	opts := fastOpts()
+	opts.Clock = v
+	nodes := make([]*Node, n)
+	for i := 0; i < n; i++ {
+		nodes[i] = New(i, net, Config{Runtime: opts})
+		nodes[i].Start()
+	}
+	return nodes, net, func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+		net.Close()
+	}
+}
+
+// settle is the virtual-time pause that lets an operation's straggler
+// acks (an operation returns at a majority) be metered before diffing.
+const settle = 20 * time.Millisecond
+
 // TestSnapshotCostIs8n pins the paper's introduction claim: a stacked
-// (ABD + double collect) snapshot costs ~8n messages and 4 round trips in
-// the contention-free case — vs 2n and 1 for the direct construction.
+// (ABD + double collect) snapshot costs 8n messages and 4 round trips in
+// the contention-free case — vs 2n and 1 for the direct construction. It
+// runs on a virtual clock, so the straggler acks of the preceding write
+// and of the snapshot itself settle deterministically and the count is
+// exact.
 func TestSnapshotCostIs8n(t *testing.T) {
 	const n = 6
-	nodes, net := newCluster(t, n, netsim.Adversary{}, 2)
-	if err := nodes[0].Write(types.Value("w")); err != nil {
-		t.Fatal(err)
-	}
-	before := net.Counters().Snapshot()
-	if _, err := nodes[2].Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	diff := net.Counters().Snapshot().Sub(before)
-	requests := diff.MessagesOf(wire.TCollect, wire.TWriteBack)
-	if requests != int64(4*n) {
-		t.Errorf("collect+writeback requests = %d, want 4n=%d (2 collects × 2 phases)", requests, 4*n)
-	}
-	total := diff.Messages
-	if total < int64(7*n) || total > int64(9*n) {
-		t.Errorf("total stacked snapshot messages = %d, want ≈8n=%d", total, 8*n)
-	}
+	v := simclock.NewVirtual()
+	v.Run("stacked-snapshot-cost", func() {
+		nodes, net, closeAll := virtualCluster(v, n, 2)
+		defer closeAll()
+		if err := nodes[0].Write(types.Value("w")); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		v.Sleep(settle)
+		before := net.Counters().Snapshot()
+		if _, err := nodes[2].Snapshot(); err != nil {
+			t.Errorf("snapshot: %v", err)
+			return
+		}
+		v.Sleep(settle)
+		diff := net.Counters().Snapshot().Sub(before)
+		requests := diff.MessagesOf(wire.TCollect, wire.TWriteBack)
+		if requests != int64(4*n) {
+			t.Errorf("collect+writeback requests = %d, want 4n=%d (2 collects × 2 phases)", requests, 4*n)
+		}
+		if total := diff.Messages; total != int64(8*n) {
+			t.Errorf("total stacked snapshot messages = %d, want 8n=%d", total, 8*n)
+		}
+	})
 }
 
 func TestWriteCostIs2n(t *testing.T) {
@@ -78,20 +111,8 @@ func TestWriteCostIs2n(t *testing.T) {
 	const n = 6
 	v := simclock.NewVirtual()
 	v.Run("stacked-write-cost", func() {
-		net := netsim.New(netsim.Config{N: n, Seed: 3, Clock: v})
-		opts := fastOpts()
-		opts.Clock = v
-		nodes := make([]*Node, n)
-		for i := 0; i < n; i++ {
-			nodes[i] = New(i, net, Config{Runtime: opts})
-			nodes[i].Start()
-		}
-		defer func() {
-			for _, nd := range nodes {
-				nd.Close()
-			}
-			net.Close()
-		}()
+		nodes, net, closeAll := virtualCluster(v, n, 3)
+		defer closeAll()
 		before := net.Counters().Snapshot()
 		if err := nodes[1].Write(types.Value("w")); err != nil {
 			t.Errorf("write: %v", err)
@@ -99,7 +120,7 @@ func TestWriteCostIs2n(t *testing.T) {
 		}
 		// The write returns at a majority of acks; give the stragglers' acks
 		// a moment (of virtual time) to be metered before diffing.
-		v.Sleep(20 * time.Millisecond)
+		v.Sleep(settle)
 		diff := net.Counters().Snapshot().Sub(before)
 		if u := diff.PerType[wire.TUpdate].Messages; u != int64(n) {
 			t.Errorf("UPDATE messages = %d, want n=%d", u, n)

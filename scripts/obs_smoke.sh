@@ -63,6 +63,8 @@ awk '
 for series in \
   'selfstabsnap_messages_total{type="WRITE"}' \
   'selfstabsnap_messages_all_total' \
+  'selfstabsnap_gossip_full_total' \
+  'selfstabsnap_reset_rejects_total' \
   'selfstabsnap_write_latency_seconds_count' \
   'selfstabsnap_loop_iterations_total' \
   'go_goroutines'; do
